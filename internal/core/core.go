@@ -45,74 +45,25 @@ type Config struct {
 	// StartDelay holds per-worker delays applied before the first
 	// phase, reproducing the §4.5 non-uniform start-time experiments.
 	StartDelay []time.Duration
-	// Events, when non-nil, receives the structured telemetry stream:
-	// exec, steal, queue-wait and phase-boundary events with
-	// nanosecond-since-start timestamps. The sink MUST be safe for
-	// concurrent use (telemetry.NewSyncStream, or wrap with
-	// telemetry.Synchronized). nil costs the hot path one pointer
-	// check per chunk.
-	Events telemetry.Sink
+	// Observer, when non-nil, receives one telemetry.Record per fact:
+	// every executed chunk, every successful steal, every contended
+	// central-queue wait, and every phase boundary, timestamped in
+	// nanoseconds since the run started. Chunk, steal and wait records
+	// are delivered inline from workers, so the observer MUST be safe
+	// for concurrent use and cheap. Event and provenance sinks adapt
+	// with telemetry.EventsOf and telemetry.ProvOf; several observers
+	// combine with telemetry.Observers. nil costs the hot path one
+	// pointer check per chunk.
+	Observer telemetry.Observer
 	// Metrics, when non-nil, accumulates counters and histograms
 	// (chunk sizes, steal latencies, central-queue waits) and receives
 	// a time-series snapshot at every phase barrier.
 	Metrics *telemetry.Registry
-	// Prov, when non-nil, receives one provenance record per executed
-	// chunk (owner queue, stolen flag, measured dispatch wait) for
-	// post-hoc forensics. The host cannot separate memory stalls from
-	// computation, so records carry the whole execution window as
-	// Compute. The sink MUST be safe for concurrent use
-	// (telemetry.NewSyncProvStream).
-	Prov telemetry.ProvSink
-	// Hooks, when non-nil, receives lock-free notifications from the
-	// dispatch/steal hot paths — the feed for the live observability
-	// plane (internal/livemetrics). Implementations MUST be safe for
-	// concurrent use and cheap (atomic counters only): every executed
-	// chunk and every successful steal calls them inline from a worker.
-	// nil costs the hot path one pointer check per chunk.
-	Hooks ObsHooks
 	// QueueDepthEvery, when positive, samples every work queue's
 	// backlog at this interval into Stats.QueueDepthSamples — the real
 	// runtime's version of the simulator's per-queue imbalance signal.
 	// Supported by the AFS and central-queue dispatchers.
 	QueueDepthEvery time.Duration
-}
-
-// ObsHooks is the hot-path notification surface consumed by the live
-// observability plane. Both methods are called inline from worker
-// goroutines — implementations must be concurrent-safe and bounded to
-// a handful of atomic operations. Durations are nanoseconds measured
-// on the runner's telemetry clock.
-type ObsHooks interface {
-	// ObserveChunk fires once per executed chunk: the worker that ran
-	// it, the owning queue (-1 for central dispensers), whether the
-	// chunk migrated, its iteration count, and its execution time.
-	ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64)
-	// ObserveSteal fires once per successful steal with the measured
-	// steal latency (victim lock acquisition through chunk removal).
-	ObserveSteal(thief, victim, iters int, latNS float64)
-}
-
-// SpanObserver is the optional causal-tracing extension of ObsHooks:
-// when Config.Hooks also implements it (one type assertion per
-// submission, never per chunk), the runner reports span windows for
-// phases, chunks and steals with their causal coordinates, and the
-// observer assembles them into a span tree (internal/spantrace). The
-// same hot-path contract as ObsHooks applies — OnChunkSpan and
-// OnStealSpan are called inline from worker goroutines and must be
-// cheap and concurrent-safe; OnPhaseSpan is called by the submitting
-// goroutine after each phase barrier, so both its timestamps are
-// final. Timestamps are nanoseconds on the runner's telemetry clock.
-type SpanObserver interface {
-	// OnPhaseSpan fires once per phase after its barrier drains: the
-	// phase index, its iteration count, and its [start, end] window.
-	OnPhaseSpan(ph, n int, startNS, endNS float64)
-	// OnChunkSpan fires once per executed chunk with its causal
-	// coordinates: phase, executing worker, owning queue (-1 central),
-	// migration flag, iteration range, and execution window.
-	OnChunkSpan(ph, proc, owner int, stolen bool, lo, hi int, startNS, endNS float64)
-	// OnStealSpan fires once per successful steal, immediately before
-	// the stolen chunk executes on the thief.
-	OnStealSpan(ph, thief, victim, lo, hi int, startNS, endNS float64)
 }
 
 func (c Config) procs() int {
@@ -212,14 +163,11 @@ type runner struct {
 	body  func(ph, i int)
 	stats Stats
 	t0    time.Time
-	sink  telemetry.Sink
-	prov  telemetry.ProvSink
-	hooks ObsHooks
-	// spans is cfg.Hooks's SpanObserver extension, resolved by one
-	// type assertion at Execute — non-nil only when hooks is non-nil,
-	// so every spans call site is already behind the hooks gate.
-	spans   SpanObserver
-	rh      *coreHandles
+	obs   telemetry.Observer
+	rh    *coreHandles
+	// depths is the dispatcher's depth sampler while
+	// Config.QueueDepthEvery sampling is on, nil otherwise.
+	depths  depthSampler
 	depthMu sync.Mutex
 	phaseNo atomic.Int64
 	phaseWG sync.WaitGroup
@@ -282,32 +230,14 @@ func (r *runner) work(w, ph int) {
 		if r.rh != nil {
 			r.rh.chunkSize.Observe(float64(c.Len()))
 		}
-		if r.sink != nil || r.prov != nil || r.hooks != nil {
+		if r.obs != nil {
 			start := r.nowNS()
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)
 			}
-			end := r.nowNS()
-			if r.hooks != nil {
-				r.hooks.ObserveChunk(w, fm.owner, fm.stolen, c.Len(), end-start)
-			}
-			if r.spans != nil {
-				r.spans.OnChunkSpan(ph, w, fm.owner, fm.stolen, c.Lo, c.Hi, start, end)
-			}
-			if r.sink != nil {
-				r.sink.Emit(telemetry.Event{Kind: telemetry.KindExec,
-					Proc: w, Victim: -1, Step: ph, Lo: c.Lo, Hi: c.Hi,
-					Start: start, End: end})
-			}
-			if r.prov != nil {
-				// The host cannot split memory stalls out of the
-				// window, so the whole span is reported as Compute.
-				r.prov.EmitProv(telemetry.Prov{
-					Step: ph, Proc: w, Owner: fm.owner, Stolen: fm.stolen,
-					Lo: c.Lo, Hi: c.Hi, Start: start, End: end,
-					QueueWait: fm.wait, Compute: end - start,
-				})
-			}
+			r.obs.Observe(telemetry.Record{Kind: telemetry.KindExec,
+				Step: ph, Proc: w, Owner: fm.owner, Stolen: fm.stolen,
+				Lo: c.Lo, Hi: c.Hi, Start: start, End: r.nowNS(), Wait: fm.wait})
 		} else {
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)
@@ -325,12 +255,16 @@ type depthSampler interface {
 
 // startDepthSampler launches the periodic queue-depth sampler when
 // configured and supported, returning a stop function that waits for
-// the sampler goroutine to finish (so Stats reads race-free).
+// the sampler goroutine to finish (so Stats reads race-free). Ticks
+// alone cannot promise a sample — a short run may end before the
+// first one fires — so Execute also samples every phase once its
+// queues are filled (sampleDepths).
 func (r *runner) startDepthSampler() func() {
 	ds, ok := r.d.(depthSampler)
 	if !ok || r.cfg.QueueDepthEvery <= 0 {
 		return func() {}
 	}
+	r.depths = ds
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -342,14 +276,22 @@ func (r *runner) startDepthSampler() func() {
 			case <-stop:
 				return
 			case <-t.C:
-				sample := QueueDepths{AtNS: r.nowNS(), Depths: ds.depths()}
-				r.depthMu.Lock()
-				r.stats.QueueDepthSamples = append(r.stats.QueueDepthSamples, sample)
-				r.depthMu.Unlock()
+				r.sampleDepths()
 			}
 		}
 	}()
 	return func() { close(stop); <-done }
+}
+
+// sampleDepths appends one queue-depth sample when sampling is on.
+func (r *runner) sampleDepths() {
+	if r.depths == nil {
+		return
+	}
+	sample := QueueDepths{AtNS: r.nowNS(), Depths: r.depths.depths()}
+	r.depthMu.Lock()
+	r.stats.QueueDepthSamples = append(r.stats.QueueDepthSamples, sample)
+	r.depthMu.Unlock()
 }
 
 // A dispatcher hands out chunks to workers for the current phase.
@@ -396,24 +338,14 @@ func (d *centralDispatch) depths() []int {
 func (d *centralDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 	fm := fetchMeta{owner: -1}
 	atomic.AddInt64(&d.waiters, 1)
-	instrumented := r.sink != nil || r.rh != nil || r.prov != nil
+	instrumented := r.obs != nil || r.rh != nil
 	var lockStart float64
 	if instrumented {
 		lockStart = r.nowNS()
 	}
 	d.mu.Lock()
 	if instrumented {
-		wait := r.nowNS() - lockStart
-		fm.wait = wait
-		if r.rh != nil {
-			r.rh.queueWait.Observe(wait)
-		}
-		// Only contended acquisitions (>1µs) are worth an event; an
-		// uncontended mutex would drown the stream in noise.
-		if r.sink != nil && wait > 1e3 {
-			r.sink.Emit(telemetry.Event{Kind: telemetry.KindQueueWait,
-				Proc: w, Victim: -1, Step: r.phase(), Start: lockStart, End: lockStart + wait})
-		}
+		fm.wait = r.nowNS() - lockStart
 	}
 	waiting := atomic.AddInt64(&d.waiters, -1)
 	if ag, isAdaptive := d.sizer.(*sched.AdaptiveGSS); isAdaptive {
@@ -421,6 +353,16 @@ func (d *centralDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool)
 	}
 	c, ok := d.disp.Next()
 	d.mu.Unlock()
+	if r.rh != nil {
+		r.rh.queueWait.Observe(fm.wait)
+	}
+	// Only contended acquisitions (>1µs) are worth a record; an
+	// uncontended mutex would drown the stream in noise.
+	if r.obs != nil && fm.wait > 1e3 {
+		r.obs.Observe(telemetry.Record{Kind: telemetry.KindQueueWait,
+			Step: r.phase(), Proc: w, Owner: -1,
+			Start: lockStart, End: lockStart + fm.wait})
+	}
 	if ok {
 		atomic.AddInt64(&r.stats.CentralOps, 1)
 	}
@@ -565,7 +507,7 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 			return sched.Chunk{}, fetchMeta{}, false
 		}
 		vq := &d.queues[victim]
-		instrumented := r.sink != nil || r.rh != nil || r.prov != nil || r.hooks != nil
+		instrumented := r.obs != nil || r.rh != nil
 		var stealStart float64
 		if instrumented {
 			stealStart = r.nowNS()
@@ -587,19 +529,13 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 		if instrumented {
 			end := r.nowNS()
 			fm.wait = end - stealStart
-			if r.hooks != nil {
-				r.hooks.ObserveSteal(w, victim, c.Len(), end-stealStart)
-			}
-			if r.spans != nil {
-				r.spans.OnStealSpan(r.phase(), w, victim, c.Lo, c.Hi, stealStart, end)
-			}
 			if r.rh != nil {
-				r.rh.stealLatency.Observe(end - stealStart)
+				r.rh.stealLatency.Observe(fm.wait)
 			}
-			if r.sink != nil {
-				r.sink.Emit(telemetry.Event{Kind: telemetry.KindSteal,
-					Proc: w, Victim: victim, Step: r.phase(), Lo: c.Lo, Hi: c.Hi,
-					Start: stealStart, End: end})
+			if r.obs != nil {
+				r.obs.Observe(telemetry.Record{Kind: telemetry.KindSteal,
+					Step: r.phase(), Proc: w, Owner: victim, Stolen: true,
+					Lo: c.Lo, Hi: c.Hi, Start: stealStart, End: end})
 			}
 		}
 		return c, fm, true

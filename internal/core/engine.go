@@ -192,10 +192,7 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		e.depthSrc.Store(depthBox{ds})
 	}
 
-	r := &runner{cfg: cfg, p: p, d: d, body: body, sink: cfg.Events, prov: cfg.Prov, hooks: cfg.Hooks}
-	// Causal tracing piggybacks on the hooks slot: one assertion per
-	// submission, so the per-chunk hot path stays a nil check.
-	r.spans, _ = cfg.Hooks.(SpanObserver)
+	r := &runner{cfg: cfg, p: p, d: d, body: body, obs: cfg.Observer}
 	r.stats.LocalOps = make([]int64, p)
 	r.stats.RemoteOps = make([]int64, p)
 	if cfg.Metrics != nil {
@@ -228,30 +225,23 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		}
 		r.phaseNo.Store(int64(ph))
 		d.initPhase(r, ph, nn)
-		var phStart float64
-		if r.sink != nil || r.spans != nil {
-			phStart = r.nowNS()
-		}
-		if r.sink != nil {
-			r.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseBegin,
-				Proc: -1, Victim: -1, Step: ph, Hi: nn, Start: phStart, End: phStart})
+		r.sampleDepths()
+		if r.obs != nil {
+			t := r.nowNS()
+			r.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseBegin,
+				Step: ph, Proc: -1, Owner: -1, Hi: nn, Start: t, End: t})
 		}
 		r.phaseWG.Add(p)
 		for w := 0; w < p; w++ {
 			e.starts[w] <- phaseTask{r, ph} //lint:allow ctxflow workers drain starts until Close, so the send is bounded by the phase protocol; bailing mid-loop would desync the barrier
 		}
 		r.phaseWG.Wait() //lint:allow ctxflow cancellation aborts dispatch at chunk granularity and every worker calls Done, so the barrier always drains
-		if r.sink != nil || r.spans != nil {
+		if r.obs != nil {
+			// The barrier has drained, so every record of this phase
+			// happens-before its phase-end.
 			t := r.nowNS()
-			if r.sink != nil {
-				r.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseEnd,
-					Proc: -1, Victim: -1, Step: ph, Start: t, End: t})
-			}
-			// Both endpoints are final here: the barrier has drained, so
-			// every chunk span of this phase happens-before this call.
-			if r.spans != nil {
-				r.spans.OnPhaseSpan(ph, nn, phStart, t)
-			}
+			r.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseEnd,
+				Step: ph, Proc: -1, Owner: -1, Start: t, End: t})
 		}
 		if r.rh != nil {
 			r.snapshotPhase(ph)

@@ -27,7 +27,7 @@ func TestProvenanceCoversEveryIteration(t *testing.T) {
 		}
 		prov := telemetry.NewSyncProvStream()
 		const n, phases, p = 96, 3, 4
-		_, err = Run(Config{Procs: p, Spec: spec, Prov: prov}, phases,
+		_, err = Run(Config{Procs: p, Spec: spec, Observer: telemetry.ProvOf(prov)}, phases,
 			func(int) int { return n }, slowBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -63,7 +63,7 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 	prov := telemetry.NewSyncProvStream()
 	// Skew all the work onto low iterations so high-indexed workers
 	// must steal.
-	st, err := Run(Config{Procs: 4, Spec: spec, Prov: prov}, 2,
+	st, err := Run(Config{Procs: 4, Spec: spec, Observer: telemetry.ProvOf(prov)}, 2,
 		func(int) int { return 64 },
 		func(ph, i int) {
 			reps := 1
@@ -89,15 +89,19 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 }
 
 func TestQueueDepthSampling(t *testing.T) {
+	const phases = 4
 	for _, name := range []string{"afs", "gss"} {
 		spec, _ := sched.ByName(name)
 		st, err := Run(Config{Procs: 4, Spec: spec, QueueDepthEvery: 200 * time.Microsecond},
-			4, func(int) int { return 256 }, slowBody)
+			phases, func(int) int { return 256 }, slowBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(st.QueueDepthSamples) == 0 {
-			t.Fatalf("%s: no queue-depth samples collected", name)
+		// Every phase is sampled once its queues are filled, however
+		// short the run is relative to the tick.
+		if len(st.QueueDepthSamples) < phases {
+			t.Fatalf("%s: %d queue-depth samples, want at least %d (one per phase)",
+				name, len(st.QueueDepthSamples), phases)
 		}
 		wantCols := 4
 		if name == "gss" {
@@ -113,6 +117,27 @@ func TestQueueDepthSampling(t *testing.T) {
 				}
 			}
 		}
+
+		// With a tick that never fires, the per-phase samples are all
+		// there is: exactly one per phase, taken before any worker
+		// starts, so each sees the whole phase still queued.
+		st, err = Run(Config{Procs: 4, Spec: spec, QueueDepthEvery: time.Hour},
+			phases, func(int) int { return 256 }, func(int, int) {})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(st.QueueDepthSamples) != phases {
+			t.Fatalf("%s: %d samples without ticks, want %d", name, len(st.QueueDepthSamples), phases)
+		}
+		for ph, s := range st.QueueDepthSamples {
+			total := 0
+			for _, d := range s.Depths {
+				total += d
+			}
+			if total != 256 {
+				t.Errorf("%s: phase %d start sample holds %d iterations, want 256", name, ph, total)
+			}
+		}
 	}
 }
 
@@ -126,7 +151,7 @@ func TestProvenanceConcurrentSink(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := Run(Config{Procs: 2, Spec: spec, Prov: prov}, 2,
+			_, err := Run(Config{Procs: 2, Spec: spec, Observer: telemetry.ProvOf(prov)}, 2,
 				func(int) int { return 32 }, slowBody)
 			if err != nil {
 				t.Error(err)

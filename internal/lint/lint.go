@@ -36,8 +36,8 @@
 //     — a CFG path from the body's entry to its exit — or an
 //     annotated drain contract;
 //   - telemetry: no discarded error results from exporter/sink
-//     packages, no telemetry.Event composite literal without an
-//     explicit Step field, no span collection started
+//     packages, no telemetry.Event or telemetry.Record composite
+//     literal without an explicit Step field, no span collection started
 //     (spantrace.StartSubmission) without an End/Abandon seal before
 //     every return path in the span-emitting packages, and no armed
 //     anomaly detector (watchdog.New) without a diagnostic-bundle
@@ -169,7 +169,7 @@ func DefaultConfig(modulePath string) Config {
 		WallClock:     []string{p("internal/core")},
 		Locking:       []string{p("internal/core"), p("internal/pool")},
 		ExporterPkgs:  []string{p("internal/telemetry"), p("internal/trace"), p("internal/forensics"), p("internal/stats")},
-		EventTypes:    []string{p("internal/telemetry") + ".Event"},
+		EventTypes:    []string{p("internal/telemetry") + ".Event", p("internal/telemetry") + ".Record"},
 		SpanPkgs:      []string{modulePath, p("internal/core"), p("internal/pool")},
 		SpanTracePkg:  p("internal/spantrace"),
 		WatchdogPkg:   p("internal/watchdog"),

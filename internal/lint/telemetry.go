@@ -18,7 +18,7 @@ import (
 // every armed anomaly detector has a bundle capture wired to it.
 var telemetryCheck = &Check{
 	Name: "telemetry",
-	Doc:  "forbid discarded exporter/sink errors, Event literals without an explicit Step field, unsealed span collections, and watchdogs armed without bundle capture",
+	Doc:  "forbid discarded exporter/sink errors, Event and Record literals without an explicit Step field, unsealed span collections, and watchdogs armed without bundle capture",
 	Run:  runTelemetry,
 }
 

@@ -10,21 +10,15 @@ import (
 // Recorder is the bounded flight recorder: fixed-size rings of the
 // most recent telemetry events and provenance records across
 // submissions, so the last moments before an anomaly are always
-// recoverable without paying full-trace memory. Each submission tees
-// its streams into the recorder via ForSubmission; Dump merges the
+// recoverable without paying full-trace memory. Each submission feeds
+// the recorder through the observer ForSubmission returns; Dump merges the
 // rings into one coherent stream by rebasing every submission's
 // step numbers and zero-based clocks onto a shared axis (the same
 // composition trick as telemetry.Rebase, applied after the fact).
 type Recorder struct {
-	mu        sync.Mutex
-	evs       []flightEv
-	evNext    int
-	evFull    bool
-	evDropped int64
-	pvs       []flightPv
-	pvNext    int
-	pvFull    bool
-	pvDropped int64
+	mu  sync.Mutex
+	evs ring[flightEv]
+	pvs ring[flightPv]
 
 	subSeq atomic.Int64
 
@@ -50,55 +44,62 @@ func newRecorder(evCap, pvCap int) *Recorder {
 	if pvCap < 1 {
 		pvCap = 1
 	}
-	return &Recorder{evs: make([]flightEv, evCap), pvs: make([]flightPv, pvCap)}
+	return &Recorder{evs: ring[flightEv]{buf: make([]flightEv, evCap)},
+		pvs: ring[flightPv]{buf: make([]flightPv, pvCap)}}
 }
 
-// ForSubmission allocates a submission slot and returns sinks that tag
-// its events and provenance records for later rebasing. Combine with
-// the caller's own sinks via telemetry.Tee / telemetry.TeeProv.
-func (r *Recorder) ForSubmission() (telemetry.Sink, telemetry.ProvSink) {
-	sub := r.subSeq.Add(1)
-	return subSink{r, sub}, subProvSink{r, sub}
+// ring is a fixed-capacity buffer that overwrites its oldest entry
+// when full, counting the evictions.
+type ring[T any] struct {
+	buf     []T
+	next    int
+	full    bool
+	dropped int64
 }
 
-type subSink struct {
+func (g *ring[T]) push(v T) {
+	if g.full {
+		g.dropped++
+	}
+	g.buf[g.next] = v
+	g.next++
+	if g.next == len(g.buf) {
+		g.next = 0
+		g.full = true
+	}
+}
+
+// ordered returns the ring's contents oldest-first.
+func (g *ring[T]) ordered() []T {
+	if !g.full {
+		return append([]T(nil), g.buf[:g.next]...)
+	}
+	out := make([]T, 0, len(g.buf))
+	out = append(out, g.buf[g.next:]...)
+	return append(out, g.buf[:g.next]...)
+}
+
+// ForSubmission allocates a submission slot and returns the observer
+// that captures its records, tagged with the slot for later rebasing:
+// every record lands in the event ring as one telemetry.Event, and an
+// exec record also lands in the provenance ring as one telemetry.Prov,
+// both under a single acquisition of the recorder lock. Compose it
+// with the submission's other observers via telemetry.Observers.
+func (r *Recorder) ForSubmission() telemetry.Observer {
+	return subObserver{r, r.subSeq.Add(1)}
+}
+
+type subObserver struct {
 	r   *Recorder
 	sub int64
 }
 
-func (s subSink) Emit(e telemetry.Event) { s.r.addEvent(s.sub, e) }
-
-type subProvSink struct {
-	r   *Recorder
-	sub int64
-}
-
-func (s subProvSink) EmitProv(p telemetry.Prov) { s.r.addProv(s.sub, p) }
-
-func (r *Recorder) addEvent(sub int64, e telemetry.Event) {
+func (s subObserver) Observe(rec telemetry.Record) {
+	r := s.r
 	r.mu.Lock()
-	if r.evFull {
-		r.evDropped++
-	}
-	r.evs[r.evNext] = flightEv{sub, e}
-	r.evNext++
-	if r.evNext == len(r.evs) {
-		r.evNext = 0
-		r.evFull = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *Recorder) addProv(sub int64, p telemetry.Prov) {
-	r.mu.Lock()
-	if r.pvFull {
-		r.pvDropped++
-	}
-	r.pvs[r.pvNext] = flightPv{sub, p}
-	r.pvNext++
-	if r.pvNext == len(r.pvs) {
-		r.pvNext = 0
-		r.pvFull = true
+	r.evs.push(flightEv{s.sub, rec.Event()})
+	if rec.Kind == telemetry.KindExec {
+		r.pvs.push(flightPv{s.sub, rec.Prov()})
 	}
 	r.mu.Unlock()
 }
@@ -108,7 +109,7 @@ func (r *Recorder) addProv(sub int64, p telemetry.Prov) {
 func (r *Recorder) Dropped() (events, prov int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.evDropped, r.pvDropped
+	return r.evs.dropped, r.pvs.dropped
 }
 
 // FlightDump is one frozen capture of the rings, rebased onto a single
@@ -135,9 +136,9 @@ type FlightDump struct {
 // evicted are omitted (their axis position is unknowable).
 func (r *Recorder) Dump(reason string) *FlightDump {
 	r.mu.Lock()
-	evs := ringOrder(r.evs, r.evNext, r.evFull)
-	pvs := ringOrder(r.pvs, r.pvNext, r.pvFull)
-	d := &FlightDump{Reason: reason, DroppedEvents: r.evDropped, DroppedProv: r.pvDropped}
+	evs := r.evs.ordered()
+	pvs := r.pvs.ordered()
+	d := &FlightDump{Reason: reason, DroppedEvents: r.evs.dropped, DroppedProv: r.pvs.dropped}
 	r.mu.Unlock()
 
 	// One pass over the event ring establishes each submission's step
@@ -195,16 +196,6 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 		d.Prov = append(d.Prov, p)
 	}
 	return d
-}
-
-// ringOrder returns the ring's contents oldest-first.
-func ringOrder[T any](ring []T, next int, full bool) []T {
-	if !full {
-		return append([]T(nil), ring[:next]...)
-	}
-	out := make([]T, 0, len(ring))
-	out = append(out, ring[next:]...)
-	return append(out, ring[:next]...)
 }
 
 // Consistent trims the dump to fully captured program steps — those

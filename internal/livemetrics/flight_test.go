@@ -9,29 +9,27 @@ import (
 )
 
 // emitSub pushes one synthetic submission through the recorder's
-// sinks: steps phased loops of n iterations over two workers, each
+// observer: steps phased loops of n iterations over two workers, each
 // step carrying a mid-phase steal (worker 1 steals the top half of
 // worker 0's range) plus a deliberately zero-duration exec chunk —
 // the shapes that used to break Chrome trace export. Steps and clocks
 // are 0-based per submission, exactly as a real engine emits them.
 func emitSub(r *Recorder, steps, n int) {
-	ev, pv := r.ForSubmission()
+	obs := r.ForSubmission()
 	for s := 0; s < steps; s++ {
 		base := float64(s * 1000)
-		ev.Emit(telemetry.Event{Kind: telemetry.KindPhaseBegin, Proc: -1, Victim: -1, Step: s, Hi: n, Start: base, End: base})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseBegin, Step: s, Proc: -1, Owner: -1, Hi: n, Start: base, End: base})
 		half := n / 2
 		// Worker 0 runs [0, half) natively, split into a normal chunk
 		// and a zero-duration tail chunk.
-		ev.Emit(telemetry.Event{Kind: telemetry.KindExec, Proc: 0, Victim: -1, Step: s, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200})
-		ev.Emit(telemetry.Event{Kind: telemetry.KindExec, Proc: 0, Victim: -1, Step: s, Lo: half - 1, Hi: half, Start: base + 200, End: base + 200})
-		pv.EmitProv(telemetry.Prov{Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half, Start: base + 10, End: base + 200})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 0, Owner: 0, Lo: half - 1, Hi: half, Start: base + 200, End: base + 200})
 		// Worker 1 steals the rest from worker 0 mid-phase. The steal
-		// event lands after the exec events despite starting earlier —
+		// record lands after the exec record despite starting earlier —
 		// the out-of-order arrival a concurrent engine produces.
-		ev.Emit(telemetry.Event{Kind: telemetry.KindExec, Proc: 1, Victim: -1, Step: s, Lo: half, Hi: n, Start: base + 60, End: base + 400})
-		ev.Emit(telemetry.Event{Kind: telemetry.KindSteal, Proc: 1, Victim: 0, Step: s, Lo: half, Hi: n, Start: base + 40, End: base + 55})
-		pv.EmitProv(telemetry.Prov{Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, QueueWait: 15})
-		ev.Emit(telemetry.Event{Kind: telemetry.KindPhaseEnd, Proc: -1, Victim: -1, Step: s, Start: base + 410, End: base + 410})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, Wait: 15})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindSteal, Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 40, End: base + 55})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseEnd, Step: s, Proc: -1, Owner: -1, Start: base + 410, End: base + 410})
 	}
 }
 

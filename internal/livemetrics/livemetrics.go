@@ -1,8 +1,8 @@
 // Package livemetrics is the live observability plane for the
 // persistent execution engine: lock-cheap rolling instruments fed by
-// hot-path hooks (core.Config.Hooks), a bounded flight recorder of
-// recent telemetry, and an HTTP introspection surface (see http.go and
-// cmd/engineview).
+// the engine's per-chunk records (core.Config.Observer), a bounded
+// flight recorder of recent telemetry, and an HTTP introspection
+// surface (see http.go and cmd/engineview).
 //
 // The paper's claim — affinity scheduling wins because cache-reload
 // cost dominates as loops repeat — is otherwise only visible post-hoc
@@ -11,10 +11,11 @@
 // sched.Static owner map, steal rates, queue depths, and windowed
 // latency quantiles, all while the engine keeps running.
 //
-// Layering: core defines the ObsHooks interface; Collector satisfies
-// it structurally, so core never imports this package. internal/pool
-// binds a Plane to its engine and feeds submission outcomes; repro
-// exposes the whole thing as WithObservability.
+// Layering: Collector and the flight recorder's per-submission slots
+// implement telemetry.Observer, so core never imports this package.
+// internal/pool binds a Plane to its engine, composes it into each
+// submission's observer and feeds submission outcomes; repro exposes
+// the whole thing as WithObservability.
 package livemetrics
 
 import (
@@ -191,8 +192,8 @@ func New(opts Options) *Plane {
 // nowNS is the plane's monotonic clock (ns since New).
 func (p *Plane) nowNS() int64 { return int64(time.Since(p.t0)) }
 
-// Collector returns the hot-path hook sink; assign it to
-// core.Config.Hooks (it satisfies core.ObsHooks).
+// Collector returns the plane's hot-path observer (see
+// internal/pool, which composes it into core.Config.Observer).
 func (p *Plane) Collector() *Collector { return p.col }
 
 // Recorder returns the plane's flight recorder.
@@ -567,11 +568,11 @@ func (p *Plane) Procs() int {
 	return p.procs
 }
 
-// Collector is the hot-path sink for dispatch/steal notifications. It
-// satisfies core.ObsHooks structurally, so core carries no dependency
-// on this package. Every method is a handful of atomic adds plus one
-// binary search into the histogram bounds — safe and cheap from all
-// workers concurrently.
+// Collector is the hot-path observer of exec and steal records. It
+// implements telemetry.Observer, so core carries no dependency on this
+// package. Each record costs a handful of atomic adds plus one binary
+// search into the histogram bounds — safe and cheap from all workers
+// concurrently.
 type Collector struct {
 	now       func() int64
 	chunks    atomic.Int64
@@ -648,33 +649,36 @@ func (c *Collector) grow(w int) *workerState {
 	return next[w]
 }
 
-// ObserveChunk implements the core.ObsHooks chunk notification: totals,
-// the windowed chunk-latency histogram, and the affinity-hit account —
-// a hit is an un-stolen chunk executed by its owning worker (central
-// dispensers report owner -1 and so never hit).
-func (c *Collector) ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64) {
-	if proc < 0 {
-		return
-	}
-	c.chunks.Add(1)
-	c.chunkHist.observe(c.now(), durNS)
-	ws := c.worker(proc)
-	ws.chunks.Add(1)
-	ws.iters.Add(int64(iters))
-	ws.busyNS.Add(int64(durNS))
-	if stolen {
-		ws.stolenExec.Add(1)
-	} else if owner == proc {
-		ws.affinityHits.Add(1)
-	}
-}
-
-// ObserveSteal implements the core.ObsHooks steal notification.
-func (c *Collector) ObserveSteal(thief, victim, iters int, latNS float64) {
-	c.steals.Add(1)
-	c.migrated.Add(int64(iters))
-	c.stealHist.observe(c.now(), latNS)
-	if victim >= 0 {
-		c.worker(victim).victimized.Add(1)
+// Observe implements telemetry.Observer. An exec record updates the
+// totals, the windowed chunk-latency histogram, and the affinity-hit
+// account — a hit is an un-stolen chunk executed by its owning worker
+// (central dispensers report owner -1 and so never hit). A steal
+// record updates the steal totals, the windowed steal-latency
+// histogram and the victim's count. Other kinds are ignored.
+func (c *Collector) Observe(r telemetry.Record) {
+	dur := r.End - r.Start
+	switch r.Kind {
+	case telemetry.KindExec:
+		if r.Proc < 0 {
+			return
+		}
+		c.chunks.Add(1)
+		c.chunkHist.observe(c.now(), dur)
+		ws := c.worker(r.Proc)
+		ws.chunks.Add(1)
+		ws.iters.Add(int64(r.Hi - r.Lo))
+		ws.busyNS.Add(int64(dur))
+		if r.Stolen {
+			ws.stolenExec.Add(1)
+		} else if r.Owner == r.Proc {
+			ws.affinityHits.Add(1)
+		}
+	case telemetry.KindSteal:
+		c.steals.Add(1)
+		c.migrated.Add(int64(r.Hi - r.Lo))
+		c.stealHist.observe(c.now(), dur)
+		if r.Owner >= 0 {
+			c.worker(r.Owner).victimized.Add(1)
+		}
 	}
 }

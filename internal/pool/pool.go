@@ -62,14 +62,14 @@ type Executor struct {
 	closed atomic.Bool
 	subs   atomic.Int64
 	// plane, when set, is the executor's live observability plane:
-	// every submission feeds its hot-path hooks, tees its telemetry
-	// into the flight recorder, and reports its wall latency/outcome.
+	// every submission's records feed its collector and flight
+	// recorder, and the submission reports its wall latency/outcome.
 	plane atomic.Pointer[livemetrics.Plane]
 	// tracer, when set, turns every submission into a span tree: the
-	// executor opens an Active per submission, threads it through the
-	// hooks slot (core resolves it with one type assertion), and seals
-	// it when Execute returns. The trace ID flows to the plane so
-	// latency exemplars resolve to traces.
+	// executor opens an Active per submission, composes it into the
+	// submission's observer, and seals it when Execute returns. The
+	// trace ID flows to the plane so latency exemplars resolve to
+	// traces.
 	tracer atomic.Pointer[spantrace.Tracer]
 }
 
@@ -114,37 +114,21 @@ func (x *Executor) SetTracer(t *spantrace.Tracer) { x.tracer.Store(t) }
 // Tracer returns the attached tracer, or nil.
 func (x *Executor) Tracer() *spantrace.Tracer { return x.tracer.Load() }
 
-// spanHooks composes the plane's hot-path hooks (which may be absent)
-// with one submission's span collection, so a single Config.Hooks
-// value satisfies both core.ObsHooks and core.SpanObserver. The
-// embedded *Active contributes the On*Span observers; the explicit
-// methods forward the counter hooks to the plane when one is attached.
-type spanHooks struct {
-	inner core.ObsHooks
-	*spantrace.Active
-}
-
-func (h spanHooks) ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveChunk(proc, owner, stolen, iters, durNS)
+// Observe composes one submission's observer: the caller's own, the
+// plane's collector and a fresh flight-recorder slot (when p is
+// non-nil), and the span collection (when at is non-nil). It returns
+// nil when nothing observes, keeping the engine's single nil check.
+// Both the Executor and repro's one-shot runs wire submissions through
+// it.
+func Observe(obs telemetry.Observer, p *livemetrics.Plane, at *spantrace.Active) telemetry.Observer {
+	all := []telemetry.Observer{obs}
+	if p != nil {
+		all = append(all, p.Collector(), p.Recorder().ForSubmission())
 	}
-}
-
-func (h spanHooks) ObserveSteal(thief, victim, iters int, latNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveSteal(thief, victim, iters, latNS)
+	if at != nil {
+		all = append(all, at)
 	}
-}
-
-// instrument wires one submission's config into the plane: hot-path
-// hooks for the collector, and telemetry/provenance tees into the
-// flight recorder alongside whatever sinks the submitter configured.
-func instrument(cfg core.Config, p *livemetrics.Plane) core.Config {
-	cfg.Hooks = p.Collector()
-	evSink, pvSink := p.Recorder().ForSubmission()
-	cfg.Events = telemetry.Tee(cfg.Events, evSink)
-	cfg.Prov = telemetry.TeeProv(cfg.Prov, pvSink)
-	return cfg
+	return telemetry.Observers(all...)
 }
 
 // Submit executes body(i) for i in [0, n) on the pool under cfg and
@@ -169,11 +153,6 @@ func (x *Executor) SubmitPhases(ctx context.Context, cfg core.Config, phases int
 	}
 	cfg.Ctx = ctx
 	plane := x.plane.Load()
-	var start time.Time
-	if plane != nil {
-		cfg = instrument(cfg, plane)
-		start = time.Now()
-	}
 	var at *spantrace.Active
 	if tracer := x.tracer.Load(); tracer != nil {
 		procs := cfg.Procs
@@ -183,8 +162,9 @@ func (x *Executor) SubmitPhases(ctx context.Context, cfg core.Config, phases int
 		at = tracer.StartSubmission(spantrace.SubmissionInfo{
 			Scheduler: cfg.Spec.Name, Procs: procs, Phases: phases,
 		})
-		cfg.Hooks = spanHooks{inner: cfg.Hooks, Active: at}
 	}
+	cfg.Observer = Observe(cfg.Observer, plane, at)
+	start := time.Now()
 	res, err := x.eng.Execute(cfg, phases, n, body)
 	// Seal the span collection before any return: rejected submissions
 	// never dispatched are abandoned, everything else becomes a trace.

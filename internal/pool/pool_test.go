@@ -150,7 +150,7 @@ func TestPerSubmissionTelemetryIsolation(t *testing.T) {
 	for sub, n := range []int{3000, 1700} {
 		stream := telemetry.NewSyncStream()
 		st, err := x.Submit(context.Background(),
-			core.Config{Spec: sched.SpecAFS(), Events: stream}, n, func(int) {})
+			core.Config{Spec: sched.SpecAFS(), Observer: telemetry.EventsOf(stream)}, n, func(int) {})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,16 +5,14 @@
 // exemplar surfaced by the live plane (internal/livemetrics) resolves
 // to the exact dispatch history that produced it.
 //
-// Layering mirrors livemetrics: core defines the SpanObserver
-// interface (pure signatures, no imports) and an *Active satisfies it
-// structurally, so core never imports this package. The hot path is
-// allocation- and lock-free per observation: each worker goroutine
-// appends to its own pre-grown span buffer (single writer; the phase
-// barrier publishes the writes before End merges them), span IDs are
-// derived deterministically from (worker, local index), and the only
-// shared mutable state is an atomic drop counter. On the simulator
-// substrate the same trees are rebuilt from telemetry streams
-// (FromTelemetry), bit-identical across runs at a fixed seed.
+// Layering mirrors livemetrics: an *Active implements
+// telemetry.Observer and reads the engine's per-chunk records, so core
+// never imports this package. The hot path is lock-free per record:
+// each worker goroutine appends to its own span buffer (single
+// writer; the phase barrier publishes the writes before End merges
+// them), span IDs are derived deterministically from (worker, local
+// index), and the only shared mutable state is an atomic drop counter.
+// Spans are recorded on the real runtime only.
 package spantrace
 
 import (
@@ -22,6 +20,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // Kind classifies one span.
@@ -68,7 +68,7 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 
 // Span is one node of a submission's span tree. Timestamps are
 // nanoseconds on the runner's telemetry clock (ns since the submission
-// started; simulated cycles on the sim substrate).
+// started).
 type Span struct {
 	// ID is unique within the trace and deterministic for a fixed
 	// schedule: the root is 1, phase ph is 2+ph, and worker w's i-th
@@ -197,8 +197,8 @@ type SubmissionInfo struct {
 }
 
 // StartSubmission opens a span collection for one submission. The
-// returned Active satisfies core.SpanObserver structurally; wire it
-// into the submission's hooks, then seal with End (storing the trace)
+// returned Active is a telemetry.Observer; compose it into the
+// submission's core.Config.Observer, then seal with End (storing the trace)
 // or discard with Abandon. Every Start must be paired with exactly one
 // End or Abandon on every return path (enforced by schedlint's
 // telemetry span-balance rule in core and pool).
@@ -275,10 +275,9 @@ type workerBuf struct {
 	_         [4]uint64
 }
 
-// Active is one in-flight submission's span collection. Methods named
-// On* are the hot-path observers (called inline from workers via
-// core.SpanObserver); End and Abandon seal it. An Active must not be
-// reused after End or Abandon.
+// Active is one in-flight submission's span collection. Observe is the
+// hot-path entry (called inline from workers); End and Abandon seal
+// it. An Active must not be reused after End or Abandon.
 type Active struct {
 	tracer       *Tracer
 	id           uint64
@@ -286,9 +285,12 @@ type Active struct {
 	procs        int
 	maxPerWorker int
 	workers      []workerBuf
-	phases       []Span // appended only by the submitting goroutine
-	dropped      atomic.Int64
-	sealed       atomic.Bool
+	// phases and open (the current phase's begin record) are touched
+	// only by the submitting goroutine, which delivers phase records.
+	phases  []Span
+	open    telemetry.Record
+	dropped atomic.Int64
+	sealed  atomic.Bool
 }
 
 // TraceID is the ID the sealed trace will carry.
@@ -303,63 +305,53 @@ func phaseSpanID(ph int) uint64 { return uint64(2 + ph) }
 // phase IDs (2+ph) never collide for any realistic phase count.
 func spanID(w, i int) uint64 { return uint64(w+1)*workerIDBase + uint64(i) }
 
-// OnPhaseSpan records phase ph's span (n iterations, [startNS, endNS]).
-// Called once per phase by the submitting goroutine after the barrier.
-func (a *Active) OnPhaseSpan(ph, n int, startNS, endNS float64) {
-	if len(a.phases) >= a.tracer.opts.MaxSpans {
-		a.dropped.Add(1)
-		return
+// Observe implements telemetry.Observer: a phase-end record closes the
+// span its phase-begin opened (n iterations, begin to barrier), an
+// exec record becomes a chunk span, and a steal record a steal span.
+// Chunk and steal records arrive inline on the acting worker's
+// goroutine, and on AFS a steal is immediately followed by executing
+// the stolen chunk, which claims the steal as its StealsFrom edge.
+func (a *Active) Observe(r telemetry.Record) {
+	switch r.Kind {
+	case telemetry.KindPhaseBegin:
+		a.open = r
+	case telemetry.KindPhaseEnd:
+		if len(a.phases) >= a.tracer.opts.MaxSpans {
+			a.dropped.Add(1)
+			return
+		}
+		a.phases = append(a.phases, Span{
+			ID: phaseSpanID(r.Step), Parent: 1, Kind: KindPhase,
+			Phase: r.Step, Proc: -1, Owner: -1, Hi: a.open.Hi,
+			Start: a.open.Start, End: r.End,
+		})
+	case telemetry.KindExec, telemetry.KindSteal:
+		if r.Proc < 0 || r.Proc >= len(a.workers) {
+			a.dropped.Add(1)
+			return
+		}
+		w := &a.workers[r.Proc]
+		if len(w.spans) >= a.maxPerWorker {
+			a.dropped.Add(1)
+			return
+		}
+		s := Span{
+			ID: spanID(r.Proc, len(w.spans)), Parent: phaseSpanID(r.Step),
+			Phase: r.Step, Proc: r.Proc, Owner: r.Owner,
+			Lo: r.Lo, Hi: r.Hi, Start: r.Start, End: r.End,
+		}
+		if r.Kind == telemetry.KindSteal {
+			s.Kind = KindSteal
+			w.lastSteal = s.ID
+		} else {
+			s.Kind, s.Stolen = KindChunk, r.Stolen
+			if r.Stolen && w.lastSteal != 0 {
+				s.StealsFrom = w.lastSteal
+				w.lastSteal = 0
+			}
+		}
+		w.spans = append(w.spans, s)
 	}
-	a.phases = append(a.phases, Span{
-		ID: phaseSpanID(ph), Parent: 1, Kind: KindPhase,
-		Phase: ph, Proc: -1, Owner: -1, Hi: n,
-		Start: startNS, End: endNS,
-	})
-}
-
-// OnChunkSpan records one executed chunk. Called inline from worker
-// proc's goroutine.
-func (a *Active) OnChunkSpan(ph, proc, owner int, stolen bool, lo, hi int, startNS, endNS float64) {
-	if proc < 0 || proc >= len(a.workers) {
-		a.dropped.Add(1)
-		return
-	}
-	w := &a.workers[proc]
-	if len(w.spans) >= a.maxPerWorker {
-		a.dropped.Add(1)
-		return
-	}
-	s := Span{
-		ID: spanID(proc, len(w.spans)), Parent: phaseSpanID(ph), Kind: KindChunk,
-		Phase: ph, Proc: proc, Owner: owner, Stolen: stolen,
-		Lo: lo, Hi: hi, Start: startNS, End: endNS,
-	}
-	if stolen && w.lastSteal != 0 {
-		s.StealsFrom = w.lastSteal
-		w.lastSteal = 0
-	}
-	w.spans = append(w.spans, s)
-}
-
-// OnStealSpan records one successful steal. Called inline from the
-// thief's goroutine, immediately before the stolen chunk executes.
-func (a *Active) OnStealSpan(ph, thief, victim, lo, hi int, startNS, endNS float64) {
-	if thief < 0 || thief >= len(a.workers) {
-		a.dropped.Add(1)
-		return
-	}
-	w := &a.workers[thief]
-	if len(w.spans) >= a.maxPerWorker {
-		a.dropped.Add(1)
-		return
-	}
-	s := Span{
-		ID: spanID(thief, len(w.spans)), Parent: phaseSpanID(ph), Kind: KindSteal,
-		Phase: ph, Proc: thief, Owner: victim,
-		Lo: lo, Hi: hi, Start: startNS, End: endNS,
-	}
-	w.lastSteal = s.ID
-	w.spans = append(w.spans, s)
 }
 
 // End seals the collection into a Trace, stores it in the tracer, and

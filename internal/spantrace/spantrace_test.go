@@ -10,10 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forensics"
-	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/spantrace"
 	"repro/internal/telemetry"
 )
@@ -153,57 +151,6 @@ func TestForensicsRoundTrip(t *testing.T) {
 	}
 }
 
-// simTrace runs one seeded simulation and rebuilds its span tree from
-// the telemetry stream.
-func simTrace(t *testing.T, seed uint64) *spantrace.Trace {
-	t.Helper()
-	m := machine.Iris()
-	evs := telemetry.NewStream()
-	pvs := telemetry.NewProvStream()
-	prog := sim.Program{
-		Name:  "det",
-		Steps: 3,
-		Step: func(int) sim.ParLoop {
-			return sim.ParLoop{N: 128, Cost: func(i int) float64 { return 100 + float64(i%7)*30 }}
-		},
-	}
-	_, err := sim.RunOpts(m, 4, sched.SpecAFS(), prog, sim.Options{
-		Seed: seed, Events: evs, Prov: pvs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spantrace.FromTelemetry(spantrace.SubmissionInfo{
-		Label: "det", Scheduler: "AFS", Procs: 4, Phases: 3,
-	}, evs.Events(), pvs.Records())
-}
-
-// TestSimTraceDeterminism locks the simulator-substrate guarantee: at
-// a fixed seed, two runs produce bit-identical span trees.
-func TestSimTraceDeterminism(t *testing.T) {
-	a := simTrace(t, 42)
-	b := simTrace(t, 42)
-	aj, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("same seed, different span trees:\n%s\n---\n%s", aj, bj)
-	}
-	if a.Chunks() == 0 {
-		t.Fatal("sim trace has no chunk spans")
-	}
-	c := simTrace(t, 43)
-	cj, _ := json.Marshal(c)
-	if bytes.Equal(aj, cj) {
-		t.Fatal("different seeds produced identical span trees (jitter not applied?)")
-	}
-}
-
 func TestKindJSONRoundTrip(t *testing.T) {
 	for _, k := range []spantrace.Kind{spantrace.KindSubmission, spantrace.KindPhase,
 		spantrace.KindChunk, spantrace.KindSteal} {
@@ -225,10 +172,12 @@ func TestKindJSONRoundTrip(t *testing.T) {
 func TestSpanCapDrops(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{MaxSpans: 8})
 	a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 2, Phases: 1})
+	a.Observe(phaseBegin(0, 100, 0))
 	for i := 0; i < 100; i++ {
-		a.OnChunkSpan(0, i%2, i%2, false, i, i+1, float64(i), float64(i+1))
+		a.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: 0, Proc: i % 2, Owner: i % 2,
+			Lo: i, Hi: i + 1, Start: float64(i), End: float64(i + 1)})
 	}
-	a.OnPhaseSpan(0, 100, 0, 100)
+	a.Observe(phaseEnd(0, 100))
 	tr := a.End("ok")
 	if tr.Dropped == 0 {
 		t.Fatal("cap exceeded without drops")
@@ -244,7 +193,8 @@ func TestStoreEviction(t *testing.T) {
 	var ids []uint64
 	for i := 0; i < 3; i++ {
 		a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 1, Phases: 1})
-		a.OnPhaseSpan(0, 1, 0, 1)
+		a.Observe(phaseBegin(0, 1, 0))
+		a.Observe(phaseEnd(0, 1))
 		ids = append(ids, a.End("ok").TraceID)
 	}
 	if tracer.Get(ids[0]) != nil {
@@ -283,8 +233,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	a := tracer.StartSubmission(spantrace.SubmissionInfo{Scheduler: "AFS", Procs: 1, Phases: 1})
-	a.OnChunkSpan(0, 0, 0, false, 0, 8, 0, 10)
-	a.OnPhaseSpan(0, 8, 0, 10)
+	a.Observe(phaseBegin(0, 8, 0))
+	a.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: 0, Proc: 0, Owner: 0,
+		Lo: 0, Hi: 8, Start: 0, End: 10})
+	a.Observe(phaseEnd(0, 10))
 	id := a.End("ok").TraceID
 
 	rec = httptest.NewRecorder()
@@ -321,6 +273,16 @@ func TestHTTPEndpoints(t *testing.T) {
 	if _, err := forensics.ReadTrace(rec.Body); err != nil {
 		t.Fatalf("format=trace unreadable by forensics: %v", err)
 	}
+}
+
+// phaseBegin and phaseEnd are the engine's phase-boundary records for
+// phase ph of n iterations, at time t.
+func phaseBegin(ph, n int, t float64) telemetry.Record {
+	return telemetry.Record{Kind: telemetry.KindPhaseBegin, Step: ph, Proc: -1, Owner: -1, Hi: n, Start: t, End: t}
+}
+
+func phaseEnd(ph int, t float64) telemetry.Record {
+	return telemetry.Record{Kind: telemetry.KindPhaseEnd, Step: ph, Proc: -1, Owner: -1, Start: t, End: t}
 }
 
 func jsonNum(v uint64) string {

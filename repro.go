@@ -118,7 +118,7 @@ func KernelNames() []string { return job.Names() }
 // Option configures ParallelFor / ForPhases / Executor submissions.
 // The serializable settings (scheduler, procs, grain, tenant, ...)
 // lower onto the config's JobSpec; the remaining options attach the
-// process-local machinery a wire format cannot carry (sinks, hooks,
+// process-local machinery a wire format cannot carry (sinks, planes,
 // context, cost models).
 type Option func(*config)
 
@@ -317,7 +317,7 @@ func NewObservability(opts ObservabilityOptions) *Observability {
 }
 
 // WithObservability attaches a plane. At NewExecutor it observes every
-// subsequent submission (latencies, hot-path hooks, flight recorder,
+// subsequent submission (latencies, per-chunk counters, flight recorder,
 // live queue depths); on a one-shot call it observes that run. The
 // caller owns the plane and Closes it.
 func WithObservability(p *Observability) Option {
@@ -419,9 +419,8 @@ func (c *config) lower() (core.Config, error) {
 	cc.Ctx = c.ctx
 	cc.CostHint = c.costHint
 	cc.StartDelay = c.startDelay
-	cc.Events = c.events
+	cc.Observer = telemetry.Observers(telemetry.EventsOf(c.events), telemetry.ProvOf(c.prov))
 	cc.Metrics = c.metrics
-	cc.Prov = c.prov
 	cc.QueueDepthEvery = c.queueDepthEvery
 	return cc, nil
 }
@@ -439,41 +438,6 @@ func buildConfig(opts []Option) (config, error) {
 	return cfg, cfg.err
 }
 
-// applyObs wires a one-shot run's core config into the plane: hot-path
-// hooks plus telemetry/provenance tees into the flight recorder (an
-// Executor's plane is instead wired by internal/pool per submission).
-func applyObs(cfg config) core.Config {
-	cc := cfg.cc
-	if cfg.obs != nil {
-		cc.Hooks = cfg.obs.Collector()
-		ev, pv := cfg.obs.Recorder().ForSubmission()
-		cc.Events = telemetry.Tee(cc.Events, ev)
-		cc.Prov = telemetry.TeeProv(cc.Prov, pv)
-	}
-	return cc
-}
-
-// spanHooks composes a one-shot run's plane hooks (which may be
-// absent) with its span collection, so one Config.Hooks value
-// satisfies both core.ObsHooks and core.SpanObserver. The Executor
-// path has its own copy in internal/pool.
-type spanHooks struct {
-	inner core.ObsHooks
-	*spantrace.Active
-}
-
-func (h spanHooks) ObserveChunk(proc, owner int, stolen bool, iters int, durNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveChunk(proc, owner, stolen, iters, durNS)
-	}
-}
-
-func (h spanHooks) ObserveSteal(thief, victim, iters int, latNS float64) {
-	if h.inner != nil {
-		h.inner.ObserveSteal(thief, victim, iters, latNS)
-	}
-}
-
 func oneShotOutcome(err error) string {
 	if err != nil {
 		return "cancelled"
@@ -489,17 +453,17 @@ func oneShotOutcome(err error) string {
 // body panic propagates (one-shot semantics); the trace of a panicked
 // run is dropped with its Active.
 func runObserved(cfg config, phases int, f func(cc core.Config) (RunStats, error)) (RunStats, error) {
-	cc := applyObs(cfg)
+	cc := cfg.cc
 	var at *spantrace.Active
 	if cfg.tracer != nil {
 		if cfg.obs != nil {
 			cfg.obs.SetTracer(cfg.tracer)
 		}
 		at = cfg.tracer.StartSubmission(spantrace.SubmissionInfo{
-			Scheduler: cfg.cc.Spec.Name, Procs: procsOf(cfg.cc), Phases: phases,
+			Scheduler: cc.Spec.Name, Procs: procsOf(cc), Phases: phases,
 		})
-		cc.Hooks = spanHooks{inner: cc.Hooks, Active: at}
 	}
+	cc.Observer = pool.Observe(cc.Observer, cfg.obs, at)
 	if cfg.obs == nil {
 		st, err := f(cc)
 		if at != nil {
@@ -665,7 +629,7 @@ func (e *Executor) Close() error { return e.px.Close() }
 // options, resolving the submission's core config. The executor's own
 // plane (WithObservability at NewExecutor) is wired by internal/pool
 // once per submission; a plane passed per submission is only honoured
-// when the executor has none, so streams are never double-teed.
+// when the executor has none, so no record reaches a plane twice.
 func (e *Executor) submitConfig(opts []Option) (core.Config, error) {
 	merged := make([]Option, 0, len(e.defaults)+len(opts))
 	merged = append(merged, e.defaults...)
@@ -675,7 +639,7 @@ func (e *Executor) submitConfig(opts []Option) (core.Config, error) {
 		return core.Config{}, err
 	}
 	if cfg.obs != nil && cfg.obs != e.px.Observability() && e.px.Observability() == nil {
-		return applyObs(cfg), nil
+		cfg.cc.Observer = pool.Observe(cfg.cc.Observer, cfg.obs, nil)
 	}
 	return cfg.cc, nil
 }
