@@ -74,14 +74,14 @@ usage:
       decompose the makespan difference between two traces and emit an
       attribution verdict
   loopdoctor attach URL [-which live|anomaly] [-format md|json] [-o OUT] [-save FILE]
-      capture a flight dump from a running engineview / observability
+      capture a flight dump from a running loopserved / observability
       endpoint and run the standard attribution report on it; with
       -watch INTERVAL, re-capture and re-report every INTERVAL
       (-count N stops after N reports); transient connection errors
       are retried with backoff (-retries N, default 3, 0 disables)
   loopdoctor trace ID [-url U] [-format md|json] [-o OUT] [-save FILE]
       fetch one traced submission's span tree from a running engine
-      (default -url localhost:8077) and run the attribution report on
+      (default -url localhost:8093) and run the attribution report on
       it — the forensics half of the exemplar triage loop: /metrics
       names a slow trace ID, this command explains where its time went
   loopdoctor bundle PATH|URL [-format md|json] [-o OUT]
@@ -202,7 +202,7 @@ func runAnalyze(args []string) error {
 }
 
 // runAttach pulls a live flight dump from a running engine's
-// observability endpoint (cmd/engineview, or any server built on
+// observability endpoint (cmd/loopserved, or any server built on
 // repro.ObservabilityHandler) and feeds it through the same
 // attribution pipeline as analyze — turning the last moments of a
 // living engine into a standard forensics report.
@@ -294,7 +294,7 @@ func runAttach(args []string) error {
 // inside it the time went" in one command.
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	base := fs.String("url", "localhost:8077", "engine observability URL")
+	base := fs.String("url", "localhost:8093", "engine observability URL")
 	format := fs.String("format", "md", "output format: md or json")
 	out := fs.String("o", "", "output file (default stdout)")
 	save := fs.String("save", "", "also save the fetched trace file here")
@@ -341,7 +341,7 @@ func runTrace(args []string) error {
 }
 
 // normalizeURL defaults the scheme and strips a trailing slash, so
-// operands like localhost:8077 work as-is.
+// operands like localhost:8093 work as-is.
 func normalizeURL(base string) string {
 	u := strings.TrimSuffix(base, "/")
 	if !strings.Contains(u, "://") {

@@ -20,7 +20,9 @@
 //	              SLO burn rates + watchdog + Go runtime
 //	/slo          burn-rate report over default + serving objectives
 //	/watchdog     detector status (default + serving rules)
-//	/flight /traces /trace /workers /runtime /debug/   as engineview
+//	/workers      per-worker affinity-hit ratio, steals, queue depth
+//	/flight /traces /trace   flight dump (?format=), span traces
+//	/runtime      Go runtime/metrics sample; /debug/ pprof + expvar
 //	/bundles /bundle?id=   diagnostic bundles (with -bundles DIR)
 //
 // Submit with the repro/serveclient package or plain curl:
@@ -115,10 +117,22 @@ func parseArgs(args []string) (options, error) {
 	return o, nil
 }
 
+// HTTP server timeouts. POST /jobs blocks until its job completes, so
+// only the header read and idle keep-alives are bounded.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// objectives and rules are the SLO objectives and watchdog rules the
+// daemon arms: the engine's stock set plus the serving layer's.
+func objectives() []slo.Objective { return append(slo.DefaultObjectives(), slo.ServingObjectives()...) }
+func rules() []watchdog.Rule      { return append(watchdog.DefaultRules(), watchdog.ServingRules()...) }
+
 // writeCombinedProm concatenates every exposition the daemon owns into
-// one scrape, deduplicating # HELP/# TYPE per family (the engineview
-// pattern): plane + per-tenant admission, SLO burn rates, watchdog,
-// and Go runtime series.
+// one scrape, deduplicating # HELP/# TYPE per family so a family
+// declared by two writers stays a valid exposition: plane + per-tenant
+// admission, SLO burn rates, watchdog, and Go runtime series.
 func writeCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine, wd *watchdog.Watchdog, sampler *runtimeobs.Sampler) error {
 	d := promtext.NewFamilyDeduper(w)
 	if err := livemetrics.WriteProm(d, plane.Snapshot()); err != nil {
@@ -163,12 +177,9 @@ func run(args []string) error {
 	}
 	defer server.Close()
 
-	// Burn-rate engine over engine AND serving objectives: submission
-	// p99 / affinity floor / steal ceiling plus admission p99 and shed
-	// rate. /slo serves the report; the combined scrape carries the
-	// loopsched_slo_* series.
-	sloEng, err := slo.New(plane.Snapshot,
-		append(slo.DefaultObjectives(), slo.ServingObjectives()...), slo.Options{})
+	// Burn-rate engine over engine AND serving objectives. /slo serves
+	// the report; the combined scrape carries the loopsched_slo_* series.
+	sloEng, err := slo.New(plane.Snapshot, objectives(), slo.Options{})
 	if err != nil {
 		return err
 	}
@@ -182,14 +193,12 @@ func run(args []string) error {
 
 	label := fmt.Sprintf("loopserved p=%d q=%d", o.procs, o.queue)
 
-	// Auto-triage: the stock engine rules plus the serving detectors —
-	// a shed surge or an admission-wait stall freezes a diagnostic
-	// bundle just like an affinity collapse does.
-	wd, err := watchdog.New(plane.Snapshot,
-		append(watchdog.DefaultRules(), watchdog.ServingRules()...), watchdog.Options{
-			SLO:        sloEng,
-			AnomalySeq: plane.Recorder().AnomalySeq,
-		})
+	// Auto-triage: when a watchdog rule fires, the attached capturer
+	// freezes a diagnostic bundle into the bounded -bundles store.
+	wd, err := watchdog.New(plane.Snapshot, rules(), watchdog.Options{
+		SLO:        sloEng,
+		AnomalySeq: plane.Recorder().AnomalySeq,
+	})
 	if err != nil {
 		return err
 	}
@@ -264,7 +273,12 @@ func run(args []string) error {
 		defer tcancel()
 	}
 
-	srv := &http.Server{Addr: o.addr, Handler: mux}
+	srv := &http.Server{
+		Addr:              o.addr,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "loopserved: serving http://%s (p=%d, queue=%d, %d tenant policies)\n",

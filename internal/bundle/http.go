@@ -9,7 +9,7 @@ import (
 )
 
 // ServeList writes the store's retained bundles as JSON, newest
-// first (engineview's /bundles endpoint).
+// first (loopserved's /bundles endpoint).
 func ServeList(w http.ResponseWriter, s *Store) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -21,7 +21,7 @@ func ServeList(w http.ResponseWriter, s *Store) {
 	_ = enc.Encode(entries)
 }
 
-// ServeBundle streams one bundle tar by ?id= (engineview's /bundle
+// ServeBundle streams one bundle tar by ?id= (loopserved's /bundle
 // endpoint), so `curl -O` or `loopdoctor bundle <url>` moves the whole
 // evidence set in one request.
 func ServeBundle(w http.ResponseWriter, r *http.Request, s *Store) {

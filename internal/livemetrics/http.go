@@ -26,8 +26,8 @@ var (
 	planeVar    atomic.Pointer[Plane]
 )
 
-// NewHandler serves a plane over HTTP — the engineview introspection
-// surface:
+// NewHandler serves a plane over HTTP — the introspection surface
+// loopserved mounts beside its serve handler:
 //
 //	/             auto-refreshing HTML view (shared webui scaffold)
 //	/metrics      full Snapshot as JSON (also published via expvar as
@@ -183,8 +183,8 @@ func serveFlight(w http.ResponseWriter, r *http.Request, p *Plane, label string)
 	}
 }
 
-var indexBody = template.Must(template.New("engineview").Parse(`
-<h1>engineview — {{.Label}}</h1>
+var indexBody = template.Must(template.New("liveindex").Parse(`
+<h1>live metrics — {{.Label}}</h1>
 <p class="muted">Live observability plane.
 See <a href="/metrics">/metrics</a>, <a href="/metrics.prom">/metrics.prom</a>,
 <a href="/workers">/workers</a>,
@@ -273,7 +273,7 @@ func renderIndex(w http.ResponseWriter, label string) {
 	var b strings.Builder
 	indexBody.Execute(&b, struct{ Label string }{label})
 	webui.Render(w, webui.Page{
-		Title:  "engineview — " + label,
+		Title:  "live metrics — " + label,
 		Body:   template.HTML(b.String()),
 		Script: indexScript,
 	})

@@ -20,7 +20,8 @@ import (
 
 // startEngine brings up an instrumented 4-worker executor, runs a few
 // healthy AFS submissions through it, and serves its plane over an
-// httptest server — the exact wiring cmd/engineview does.
+// httptest server — the wiring cmd/loopserved mounts beside its
+// serve handler.
 func startEngine(t *testing.T) (*pool.Executor, *livemetrics.Plane, *httptest.Server) {
 	t.Helper()
 	x, err := pool.New(4)
@@ -101,8 +102,8 @@ func TestHTTPMetricsAndWorkers(t *testing.T) {
 		t.Errorf("/workers rows = %d, want 4", len(workers))
 	}
 	// The HTML view renders through the shared webui scaffold.
-	if html := string(get(t, srv.URL+"/", 200)); !strings.Contains(html, "engineview") {
-		t.Error("index page does not mention engineview")
+	if html := string(get(t, srv.URL+"/", 200)); !strings.Contains(html, "live metrics") {
+		t.Error("index page does not carry its title")
 	}
 }
 

@@ -54,7 +54,7 @@ func startTracedEngine(t *testing.T) (*spantrace.Tracer, *httptest.Server) {
 // TestDebugMuxDoesNotLeakDefaultServeMux is the regression test for
 // the /debug/ fix: the handler used to mount http.DefaultServeMux
 // wholesale, so ANY handler any package registered globally leaked
-// into the engineview surface. Now only the explicit pprof/expvar
+// into the introspection surface. Now only the explicit pprof/expvar
 // handlers are served.
 func TestDebugMuxDoesNotLeakDefaultServeMux(t *testing.T) {
 	http.HandleFunc("/debug/leak-sentinel-livemetrics", func(w http.ResponseWriter, r *http.Request) {

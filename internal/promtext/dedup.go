@@ -11,7 +11,7 @@ import (
 // declarations for a family that has already declared them, and
 // passes everything else through untouched. The exposition format
 // allows each family at most one of each, so naively concatenating
-// two writers that share a family (the engineview /metrics.prom
+// two writers that share a family (the loopserved /metrics.prom
 // combines the plane, SLO, watchdog, and runtime expositions) would
 // produce a scrape real Prometheus rejects; routing the writers
 // through one deduper keeps the first declaration and the union of

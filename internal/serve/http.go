@@ -35,6 +35,11 @@ type errorResponse struct {
 	RetryAfterSecs float64 `json:"retry_after_seconds,omitempty"`
 }
 
+// maxSpecBytes caps a POST /jobs body. A JobSpec is a few hundred
+// bytes; anything past the cap is refused with 413 before it is
+// buffered.
+const maxSpecBytes = 1 << 20
+
 // kernelInfo is one registry row on /kernels.
 type kernelInfo struct {
 	Name        string     `json:"name"`
@@ -46,7 +51,8 @@ type kernelInfo struct {
 //
 //	/          HTML index (shared webui scaffold, live /status poll)
 //	/jobs      POST a job.Spec JSON; blocks until the job completes.
-//	           400 invalid spec, 429 shed (Retry-After header),
+//	           400 invalid spec, 413 body over maxSpecBytes,
+//	           429 shed (Retry-After header),
 //	           503 server closed, 500 kernel panic.
 //	/kernels   registered kernels with their default params
 //	/status    queue depth, dispatch totals, tenants, shards (JSON)
@@ -56,7 +62,7 @@ type kernelInfo struct {
 //
 // Observability (metrics, flight, traces, SLOs) is NOT mounted here —
 // the daemon composes this handler with livemetrics.NewHandler and
-// slo.Handler on their own routes, the same split engineview uses.
+// slo.Handler on their own routes.
 // label names the service in the HTML view.
 func NewHandler(s *Server, label string) http.Handler {
 	mux := http.NewServeMux()
@@ -73,8 +79,13 @@ func NewHandler(s *Server, label string) http.Handler {
 			return
 		}
 		var spec job.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, &RejectError{Err: fmt.Errorf("decoding spec: %w", err)})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, &RejectError{Err: fmt.Errorf("decoding spec: %w", err)})
 			return
 		}
 		res, err := s.Submit(r.Context(), spec)

@@ -302,7 +302,8 @@ func TestCloseDrains(t *testing.T) {
 
 // TestHTTPEndToEnd exercises the wire contract: a successful job
 // round-trip with a reproducible checksum, 429 + Retry-After on shed,
-// 400 on an invalid spec, and the introspection endpoints.
+// 400 on an invalid or undecodable spec, 413 on an oversize body, and
+// the introspection endpoints.
 func TestHTTPEndToEnd(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	s, err := New(Options{
@@ -319,14 +320,18 @@ func TestHTTPEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s, "test"))
 	defer ts.Close()
 
-	post := func(spec job.Spec) *http.Response {
+	postRaw := func(body []byte) *http.Response {
 		t.Helper()
-		body, _ := json.Marshal(spec)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
+	}
+	post := func(spec job.Spec) *http.Response {
+		t.Helper()
+		body, _ := json.Marshal(spec)
+		return postRaw(body)
 	}
 
 	spec := job.Spec{Kernel: "gauss", Params: job.Params{N: 32}, Procs: 2, Scheduler: "gss"}
@@ -381,6 +386,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(er.Error, "jobspec.procs") {
 		t.Fatalf("400 body does not name the field: %+v", er)
+	}
+
+	// Undecodable bodies: truncated JSON is a 400; a body past
+	// maxSpecBytes (here a tenant string running past the cap, so the
+	// decoder hits the limit, not a syntax error) is a 413.
+	resp = postRaw([]byte(`{"kernel":`))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated POST = %d, want 400", resp.StatusCode)
+	}
+	resp = postRaw(append([]byte(`{"kernel":"spin","tenant":"`), bytes.Repeat([]byte("x"), maxSpecBytes)...))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize POST = %d, want 413", resp.StatusCode)
 	}
 
 	for _, path := range []string{"/kernels", "/status", "/tenants", "/shards", "/healthz"} {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestObservabilityExecutor wires a plane to a persistent executor via
-// the public API — the engineview deployment shape — and checks that
-// the plane sees every submission.
+// the public API — the shape loopserved's shards run in — and checks
+// that the plane sees every submission.
 func TestObservabilityExecutor(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
 	defer plane.Close()
