@@ -19,7 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -94,13 +94,13 @@ func main() {
 	if *showTrace {
 		p := procs[len(procs)-1]
 		spec := specs[len(specs)-1]
-		tr := trace.New(p)
-		if _, err := sim.RunOpts(m, p, spec, build(), sim.Options{Trace: tr}); err != nil {
+		stream := telemetry.NewStream()
+		if _, err := sim.RunOpts(m, p, spec, build(), sim.Options{Observer: telemetry.EventsOf(stream)}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nexecution trace: %s, %d processors\n", spec.Name, p)
-		tr.Gantt(os.Stdout, 100)
-		tr.Summary(os.Stdout)
+		telemetry.WriteGantt(os.Stdout, stream.Events(), p, 100)
+		telemetry.WriteSummary(os.Stdout, stream.Events(), p)
 	}
 }
 

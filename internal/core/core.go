@@ -235,9 +235,11 @@ func (r *runner) work(w, ph int) {
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)
 			}
+			end := r.nowNS()
 			r.obs.Observe(telemetry.Record{Kind: telemetry.KindExec,
 				Step: ph, Proc: w, Owner: fm.owner, Stolen: fm.stolen,
-				Lo: c.Lo, Hi: c.Hi, Start: start, End: r.nowNS(), Wait: fm.wait})
+				Lo: c.Lo, Hi: c.Hi, Start: start, End: end, Wait: fm.wait,
+				Compute: end - start})
 		} else {
 			for i := c.Lo; i < c.Hi; i++ {
 				r.body(ph, i)

@@ -26,7 +26,7 @@ type CaptureSpec struct {
 // CaptureSim runs the named kernel on the simulator with full
 // telemetry + provenance capture and returns the forensics trace.
 // This is the shared capture path for cmd/loopdoctor and perflab.
-func CaptureSim(spec CaptureSpec) (*Trace, sim.Metrics, error) {
+func CaptureSim(spec CaptureSpec) (*telemetry.Trace, sim.Metrics, error) {
 	m, err := machine.ByName(spec.Machine)
 	if err != nil {
 		return nil, sim.Metrics{}, err
@@ -42,7 +42,7 @@ func CaptureSim(spec CaptureSpec) (*Trace, sim.Metrics, error) {
 	events := telemetry.NewStream()
 	prov := telemetry.NewProvStream()
 	met, err := sim.RunOpts(m, spec.Procs, s, build(), sim.Options{
-		Events: events, Prov: prov,
+		Observer: telemetry.Observers(telemetry.EventsOf(events), telemetry.ProvOf(prov)),
 	})
 	if err != nil {
 		return nil, sim.Metrics{}, fmt.Errorf("simulate %s/%s/%s: %w",
@@ -52,8 +52,8 @@ func CaptureSim(spec CaptureSpec) (*Trace, sim.Metrics, error) {
 	if label == "" {
 		label = fmt.Sprintf("%s/%s/%s/p%d", spec.Algo, spec.Kernel, spec.Machine, spec.Procs)
 	}
-	return &Trace{
-		Meta: Meta{
+	return &telemetry.Trace{
+		Meta: telemetry.Meta{
 			Label:     label,
 			Substrate: "sim",
 			Machine:   spec.Machine,

@@ -22,12 +22,12 @@ func emitSub(r *Recorder, steps, n int) {
 		half := n / 2
 		// Worker 0 runs [0, half) natively, split into a normal chunk
 		// and a zero-duration tail chunk.
-		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 0, Owner: 0, Lo: 0, Hi: half - 1, Start: base + 10, End: base + 200, Compute: 190})
 		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 0, Owner: 0, Lo: half - 1, Hi: half, Start: base + 200, End: base + 200})
 		// Worker 1 steals the rest from worker 0 mid-phase. The steal
 		// record lands after the exec record despite starting earlier —
 		// the out-of-order arrival a concurrent engine produces.
-		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, Wait: 15})
+		obs.Observe(telemetry.Record{Kind: telemetry.KindExec, Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 60, End: base + 400, Wait: 15, Compute: 340})
 		obs.Observe(telemetry.Record{Kind: telemetry.KindSteal, Step: s, Proc: 1, Owner: 0, Stolen: true, Lo: half, Hi: n, Start: base + 40, End: base + 55})
 		obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseEnd, Step: s, Proc: -1, Owner: -1, Start: base + 410, End: base + 410})
 	}

@@ -107,9 +107,9 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		}
 		once = func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error) {
 			met, err := sim.RunOpts(m, c.Procs, spec, build(), sim.Options{
-				Seed:    r.seedFor(c.ID) + uint64(rep),
-				Metrics: reg,
-				Prov:    prov,
+				Seed:     r.seedFor(c.ID) + uint64(rep),
+				Metrics:  reg,
+				Observer: telemetry.ProvOf(prov),
 			})
 			if err != nil {
 				return 0, err
@@ -203,8 +203,8 @@ func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 	if c.Substrate == SubstrateReal {
 		unit = "ns"
 	}
-	a, err := forensics.Analyze(&forensics.Trace{
-		Meta: forensics.Meta{
+	a, err := forensics.Analyze(&telemetry.Trace{
+		Meta: telemetry.Meta{
 			Label: c.ID, Substrate: c.Substrate, Machine: c.Machine,
 			Kernel: c.Kernel, Algo: c.Algo, Procs: c.Procs, TimeUnit: unit,
 		},

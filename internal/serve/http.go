@@ -51,7 +51,8 @@ type kernelInfo struct {
 //
 //	/          HTML index (shared webui scaffold, live /status poll)
 //	/jobs      POST a job.Spec JSON; blocks until the job completes.
-//	           400 invalid spec, 413 body over maxSpecBytes,
+//	           400 invalid spec or unknown field,
+//	           413 body over maxSpecBytes,
 //	           429 shed (Retry-After header),
 //	           503 server closed, 500 kernel panic.
 //	/kernels   registered kernels with their default params
@@ -79,7 +80,11 @@ func NewHandler(s *Server, label string) http.Handler {
 			return
 		}
 		var spec job.Spec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		// A misspelled field would otherwise be dropped silently and the
+		// job run with its default.
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {

@@ -302,8 +302,8 @@ func TestCloseDrains(t *testing.T) {
 
 // TestHTTPEndToEnd exercises the wire contract: a successful job
 // round-trip with a reproducible checksum, 429 + Retry-After on shed,
-// 400 on an invalid or undecodable spec, 413 on an oversize body, and
-// the introspection endpoints.
+// 400 on an invalid or undecodable spec or an unknown field, 413 on an
+// oversize body, and the introspection endpoints.
 func TestHTTPEndToEnd(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	s, err := New(Options{
@@ -400,6 +400,24 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize POST = %d, want 413", resp.StatusCode)
+	}
+
+	// Unknown fields, top-level or nested, are a 400 naming the field
+	// rather than a job silently run with the default.
+	for _, body := range []string{
+		`{"kernel":"spin","procz":2}`,
+		`{"kernel":"spin","params":{"n":64,"phasez":2}}`,
+	} {
+		resp = postRaw([]byte(body))
+		er = errorResponse{}
+		json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+		if !strings.Contains(er.Error, "unknown field") {
+			t.Fatalf("POST %s: 400 body does not name the unknown field: %+v", body, er)
+		}
 	}
 
 	for _, path := range []string{"/kernels", "/status", "/tenants", "/shards", "/healthz"} {

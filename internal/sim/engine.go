@@ -14,7 +14,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Options tunes one simulation run.
@@ -27,20 +26,15 @@ type Options struct {
 	// machine.Machine.StartJitterCycles). Runs with equal seeds are
 	// bit-identical.
 	Seed uint64
-	// Trace, when non-nil, records every chunk execution and steal for
-	// post-mortem inspection (internal/trace). It is wired in as one
-	// consumer of the unified telemetry event stream.
-	Trace *trace.Trace
-	// Events, when non-nil, receives the full structured telemetry
-	// stream: exec, steal, queue-wait, cache-flush and phase-boundary
-	// events (internal/telemetry). The simulator is single-threaded,
-	// so an unsynchronised telemetry.Stream is fine.
-	Events telemetry.Sink
-	// Prov, when non-nil, receives one provenance record per executed
-	// chunk: owner queue, stolen flag, and the exact decomposition of
-	// the chunk's window into compute, cache-reload and bus-wait
-	// cycles — the input internal/forensics attributes slowdowns from.
-	Prov telemetry.ProvSink
+	// Observer, when non-nil, receives one telemetry.Record per
+	// executed chunk, steal, queue wait, cache flush and phase
+	// boundary — the same record type the real runtime reports. Exec
+	// records carry the owner queue, the stolen flag and the exact
+	// decomposition of the chunk's window into compute, cache-reload
+	// and bus-wait cycles, the input internal/forensics attributes
+	// slowdowns from. The simulator is single-threaded, so the
+	// observer need not be safe for concurrent use.
+	Observer telemetry.Observer
 	// Metrics, when non-nil, is updated with counters and histograms
 	// (sync ops, chunk sizes, queue waits, steal latency) and receives
 	// a time-series snapshot at every step barrier.
@@ -81,15 +75,7 @@ func RunOpts(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Opti
 		return Metrics{}, fmt.Errorf("sim: at most 64 processors supported (coherence directory uses 64-bit holder masks), got %d", p)
 	}
 	e := newEngine(m, p, spec, prog)
-	var sinks []telemetry.Sink
-	if opts.Trace != nil {
-		sinks = append(sinks, opts.Trace)
-	}
-	if opts.Events != nil {
-		sinks = append(sinks, opts.Events)
-	}
-	e.sink = telemetry.Tee(sinks...)
-	e.prov = opts.Prov
+	e.obs = opts.Observer
 	if opts.Metrics != nil {
 		e.rh = newRegHandles(opts.Metrics)
 	}
@@ -164,14 +150,13 @@ type engine struct {
 	seq   int64
 	seed  uint64
 	step  int
-	sink  telemetry.Sink
-	prov  telemetry.ProvSink
+	obs   telemetry.Observer
 	rh    *regHandles
 
 	// fetchOwner/fetchStolen describe the chunk the most recent
 	// fetcher call returned: which queue it came from (-1 for the
 	// central queue) and whether it migrated. Fetchers set them inside
-	// fetch; the engine folds them into provenance records.
+	// fetch; the engine folds them into exec records.
 	fetchOwner  int
 	fetchStolen bool
 	flushEvery  int
@@ -252,25 +237,25 @@ func (e *engine) run() {
 				e.caches[q].Clear()
 			}
 			e.dir = newDirectory()
-			if e.sink != nil {
+			if e.obs != nil {
 				t := e.minClock()
-				e.sink.Emit(telemetry.Event{Kind: telemetry.KindCacheFlush,
-					Proc: -1, Victim: -1, Step: s, Start: t, End: t})
+				e.obs.Observe(telemetry.Record{Kind: telemetry.KindCacheFlush,
+					Step: s, Proc: -1, Owner: -1, Start: t, End: t})
 			}
 		}
-		if e.sink != nil {
+		if e.obs != nil {
 			t := e.minClock()
-			e.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseBegin,
-				Proc: -1, Victim: -1, Step: s, Hi: e.loop.N, Start: t, End: t})
+			e.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseBegin,
+				Step: s, Proc: -1, Owner: -1, Hi: e.loop.N, Start: t, End: t})
 		}
 		e.applyJitter()
 		e.f.initStep(&e.loop)
 		e.runStep()
 		e.barrier()
-		if e.sink != nil {
+		if e.obs != nil {
 			t := e.state[0].clock // all clocks equal after the barrier
-			e.sink.Emit(telemetry.Event{Kind: telemetry.KindPhaseEnd,
-				Proc: -1, Victim: -1, Step: s, Start: t, End: t})
+			e.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseEnd,
+				Step: s, Proc: -1, Owner: -1, Start: t, End: t})
 		}
 		if e.rh != nil {
 			e.snapshotStep(s)
@@ -342,9 +327,9 @@ func (e *engine) runStep() {
 			e.queueWait += ready - st.clock
 			st.chunkQueueWait = ready - st.clock
 			if ready > st.clock {
-				if e.sink != nil {
-					e.sink.Emit(telemetry.Event{Kind: telemetry.KindQueueWait,
-						Proc: p, Victim: -1, Step: e.step, Start: st.clock, End: ready})
+				if e.obs != nil {
+					e.obs.Observe(telemetry.Record{Kind: telemetry.KindQueueWait,
+						Step: e.step, Proc: p, Owner: e.fetchOwner, Start: st.clock, End: ready})
 				}
 				if e.rh != nil {
 					e.rh.queueWaitHist.Observe(ready - st.clock)
@@ -435,22 +420,15 @@ func (e *engine) execIteration(p int, st *procState) {
 	}
 }
 
-// traceExec records a finished chunk in the telemetry stream and, when
-// provenance is on, emits the chunk's cost-decomposed record.
+// traceExec reports a finished chunk, with its cost decomposition, as
+// one exec record.
 func (e *engine) traceExec(p int, st *procState) {
-	if e.sink != nil {
-		e.sink.Emit(telemetry.Event{
-			Kind: telemetry.KindExec, Proc: p, Victim: -1, Step: e.step,
-			Lo: st.chunk.Lo, Hi: st.chunk.Hi, Start: st.chunkStart, End: st.clock,
-		})
-	}
-	if e.prov != nil {
-		e.prov.EmitProv(telemetry.Prov{
+	if e.obs != nil {
+		e.obs.Observe(telemetry.Record{Kind: telemetry.KindExec,
 			Step: e.step, Proc: p, Owner: st.chunkOwner, Stolen: st.chunkStolen,
-			Lo: st.chunk.Lo, Hi: st.chunk.Hi,
-			Start: st.chunkStart, End: st.clock,
-			QueueWait: st.chunkQueueWait,
-			Compute:   st.chunkCompute, CacheReload: st.chunkCache,
+			Lo: st.chunk.Lo, Hi: st.chunk.Hi, Start: st.chunkStart, End: st.clock,
+			Wait:    st.chunkQueueWait,
+			Compute: st.chunkCompute, CacheReload: st.chunkCache,
 			BusWait: st.chunkBus, Misses: st.chunkMisses,
 		})
 	}
@@ -712,11 +690,10 @@ func (f *afsFetcher) fetch(p int, now float64) (sched.Chunk, float64, bool) {
 	f.e.steals++
 	f.e.migratedIters += c.Len()
 	f.e.fetchOwner, f.e.fetchStolen = v, true
-	if f.e.sink != nil {
-		f.e.sink.Emit(telemetry.Event{
-			Kind: telemetry.KindSteal, Proc: p, Victim: v, Step: f.e.step,
-			Lo: c.Lo, Hi: c.Hi, Start: now, End: end,
-		})
+	if f.e.obs != nil {
+		f.e.obs.Observe(telemetry.Record{Kind: telemetry.KindSteal,
+			Step: f.e.step, Proc: p, Owner: v, Stolen: true,
+			Lo: c.Lo, Hi: c.Hi, Start: now, End: end})
 	}
 	if f.e.rh != nil {
 		f.e.rh.stealLatency.Observe(end - now)

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sched"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 // constLoop builds a memory-less loop where executions are counted via
@@ -529,10 +529,11 @@ func TestSplitmix64(t *testing.T) {
 	}
 }
 
-// TestEngineTraceRecording: the optional trace records every iteration
-// exactly once as Exec chunks, and steals name real victims.
+// TestEngineTraceRecording: the observer sees every iteration
+// executed exactly once, on its owner unless stolen, and steals name
+// real victims.
 func TestEngineTraceRecording(t *testing.T) {
-	tr := trace.New(8)
+	stream := telemetry.NewStream()
 	imb := SingleLoop("imb", ParLoop{
 		N: 512,
 		Cost: func(i int) float64 {
@@ -542,27 +543,29 @@ func TestEngineTraceRecording(t *testing.T) {
 			return 1
 		},
 	})
-	if _, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Trace: tr}); err != nil {
+	res, err := RunOpts(machine.Ideal(8), 8, sched.SpecAFS(), imb, Options{Observer: telemetry.EventsOf(stream)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	owner := tr.ExecutedBy(0, 512)
-	for i, o := range owner {
-		if o < 0 || o >= 8 {
-			t.Fatalf("iteration %d has owner %d", i, o)
+	if err := telemetry.CheckAFS(stream.Events(), 8).Err(); err != nil {
+		t.Fatal(err)
+	}
+	steals := 0
+	for _, e := range stream.Events() {
+		if e.Kind != telemetry.KindSteal {
+			continue
 		}
-	}
-	if len(tr.Steals()) == 0 {
-		t.Error("no steals recorded for an imbalanced loop")
-	}
-	for _, e := range tr.Steals() {
+		steals++
 		if e.Victim < 0 || e.Victim >= 8 || e.Victim == e.Proc {
 			t.Errorf("bad steal %+v", e)
 		}
 	}
+	if steals == 0 {
+		t.Error("no steals recorded for an imbalanced loop")
+	}
 	// Migration happened, but far fewer than all iterations moved (an
 	// iteration migrates at most once, and most stay home).
-	moved := tr.MigrationCount(0, 512)
-	if moved == 0 || moved > 256 {
+	if moved := res.MigratedIters; moved == 0 || moved > 256 {
 		t.Errorf("migrated %d of 512", moved)
 	}
 }

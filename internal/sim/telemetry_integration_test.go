@@ -15,7 +15,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // paperKernels builds small instances of the paper's five kernels.
@@ -47,7 +46,7 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 	for kname, build := range kernels {
 		for _, spec := range sched.AllSpecs() {
 			stream := telemetry.NewStream()
-			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Events: stream})
+			res, err := sim.RunOpts(m, 4, spec, build(), sim.Options{Observer: telemetry.EventsOf(stream)})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kname, spec.Name, err)
 			}
@@ -67,40 +66,6 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 					kname, spec.Name, steals, res.Steals)
 			}
 		}
-	}
-}
-
-// TestTelemetryMatchesLegacyTrace: wiring both a legacy trace and an
-// event stream records identical exec/steal sequences (the trace is
-// re-based on the stream).
-func TestTelemetryMatchesLegacyTrace(t *testing.T) {
-	m := machine.Ideal(8)
-	prog := sim.SingleLoop("imb", sim.ParLoop{
-		N: 256,
-		Cost: func(i int) float64 {
-			if i < 32 {
-				return 400
-			}
-			return 1
-		},
-	})
-	tr := trace.New(8)
-	stream := telemetry.NewStream()
-	if _, err := sim.RunOpts(m, 8, sched.SpecAFS(), prog, sim.Options{Trace: tr, Events: stream}); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := trace.FromStream(8, stream.Events())
-	if len(rebuilt.Events) != len(tr.Events) {
-		t.Fatalf("trace has %d events, rebuilt stream %d", len(tr.Events), len(rebuilt.Events))
-	}
-	for i := range tr.Events {
-		a, b := tr.Events[i], rebuilt.Events[i]
-		if a != b {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	if len(tr.Steals()) == 0 {
-		t.Error("imbalanced AFS run recorded no steals")
 	}
 }
 
@@ -151,7 +116,7 @@ func TestPhaseAndQueueWaitEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := telemetry.NewStream()
-	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Events: stream})
+	res, err := sim.RunOpts(m, 8, sched.SpecSS(), build(), sim.Options{Observer: telemetry.EventsOf(stream)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +151,7 @@ func TestCacheFlushEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := telemetry.NewStream()
-	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Events: stream, FlushEverySteps: 2}); err != nil {
+	if _, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Observer: telemetry.EventsOf(stream), FlushEverySteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	flushes := 0

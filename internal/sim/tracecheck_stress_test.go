@@ -57,7 +57,7 @@ func TestTracecheckStealHeavyAFS(t *testing.T) {
 			events := telemetry.NewStream()
 			prov := telemetry.NewProvStream()
 			if _, err := sim.RunOpts(m, c.procs, spec, build(), sim.Options{
-				Events: events, Prov: prov,
+				Observer: telemetry.Observers(telemetry.EventsOf(events), telemetry.ProvOf(prov)),
 			}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -10,33 +10,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// forensicsFile mirrors forensics.Trace's JSON wire format without
-// importing the forensics package (which would drag the simulator into
-// the tracing layer); compatibility is locked by a round-trip test
-// against forensics.ReadTrace.
-type forensicsFile struct {
-	Meta struct {
-		Label     string `json:"label,omitempty"`
-		Substrate string `json:"substrate,omitempty"`
-		Procs     int    `json:"procs"`
-		TimeUnit  string `json:"time_unit,omitempty"`
-	} `json:"meta"`
-	Events []telemetry.Event `json:"events,omitempty"`
-	Prov   []telemetry.Prov  `json:"prov,omitempty"`
-}
-
 // WriteForensics serializes the trace in the forensics trace-file wire
 // format (the same shape loopdoctor analyze/attach read), lowering the
 // span tree through Telemetry.
 func (t *Trace) WriteForensics(w io.Writer, substrate, timeUnit string) error {
-	var f forensicsFile
-	f.Meta.Label = t.Label
+	f := telemetry.Trace{Meta: telemetry.Meta{Label: t.Label,
+		Substrate: substrate, Procs: t.Procs, TimeUnit: timeUnit}}
 	if f.Meta.Label == "" {
 		f.Meta.Label = fmt.Sprintf("trace %d (%s)", t.TraceID, t.Scheduler)
 	}
-	f.Meta.Substrate = substrate
-	f.Meta.Procs = t.Procs
-	f.Meta.TimeUnit = timeUnit
 	f.Events, f.Prov = t.Telemetry()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

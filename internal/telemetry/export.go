@@ -96,31 +96,3 @@ func WriteSeriesJSONL(w io.Writer, r *Registry) error {
 	}
 	return nil
 }
-
-// SinkWriter adapts any io.Writer into a streaming JSONL Sink, for
-// traces too large to buffer. Errors after the first are dropped;
-// check Err when done. Not safe for concurrent use — wrap with
-// Synchronized for the real runtime.
-type SinkWriter struct {
-	enc *json.Encoder
-	err error
-}
-
-// NewSinkWriter creates a streaming JSONL sink over w.
-func NewSinkWriter(w io.Writer) *SinkWriter {
-	return &SinkWriter{enc: json.NewEncoder(w)}
-}
-
-// Emit encodes one event as a JSON line.
-func (s *SinkWriter) Emit(e Event) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(jsonEvent{
-		Kind: e.Kind.String(), Proc: e.Proc, Victim: e.Victim,
-		Step: e.Step, Lo: e.Lo, Hi: e.Hi, Start: e.Start, End: e.End,
-	})
-}
-
-// Err reports the first write error, if any.
-func (s *SinkWriter) Err() error { return s.err }

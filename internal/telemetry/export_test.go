@@ -90,20 +90,6 @@ func TestWriteSeriesJSONL(t *testing.T) {
 	}
 }
 
-func TestSinkWriterStreamsJSONL(t *testing.T) {
-	var b strings.Builder
-	s := NewSinkWriter(&b)
-	for _, e := range sampleEvents() {
-		s.Emit(e)
-	}
-	if s.Err() != nil {
-		t.Fatal(s.Err())
-	}
-	if got := strings.Count(b.String(), "\n"); got != 6 {
-		t.Errorf("%d lines", got)
-	}
-}
-
 // TestChromeTraceShape: the export is valid JSON with one named thread
 // track per processor, X slices for execs, and paired s/f flow events
 // for steals.

@@ -58,10 +58,9 @@ type Prov struct {
 // Iters returns the number of iterations the record covers.
 func (p Prov) Iters() int { return p.Hi - p.Lo }
 
-// A ProvSink consumes provenance records as chunks complete. Emit is
-// called from the hot path of both runtimes; implementations should be
-// cheap. Sinks used with the real goroutine runtime must be safe for
-// concurrent use (SyncProvStream).
+// A ProvSink consumes provenance records as chunks complete; ProvOf
+// adapts one into an Observer. Sinks used with the real goroutine
+// runtime must be safe for concurrent use (SyncProvStream).
 type ProvSink interface {
 	EmitProv(Prov)
 }

@@ -1,21 +1,23 @@
 package telemetry
 
-// Record is one fact the real goroutine runtime reports about a
-// submission: an executed chunk, a steal, a contended central-queue
-// wait, or a phase boundary. It is the runtime's single hot-path
-// value — the engine builds one Record per fact and makes one Observe
-// call — and every reader (event streams, provenance streams, the live
-// plane, the span tracer) derives its own view from it. Like Event it
-// is a plain value with no pointers.
+// Record is one fact an execution substrate reports: an executed
+// chunk, a steal, a queue wait, a cache flush or a phase boundary.
+// It is the single hot-path value of both the simulator and the real
+// goroutine runtime — each builds one Record per fact and makes one
+// Observe call — and every reader (event streams, provenance streams,
+// the live plane, the span tracer) derives its own view from it. Like
+// Event it is a plain value with no pointers.
 //
-// Times are nanoseconds since the submission started.
+// Times use the substrate's native unit: simulator cycles, or real
+// runtime nanoseconds since the submission started.
 type Record struct {
-	// Kind is KindExec, KindSteal, KindQueueWait, KindPhaseBegin or
-	// KindPhaseEnd.
+	// Kind is KindExec, KindSteal, KindQueueWait, KindPhaseBegin,
+	// KindPhaseEnd, or (simulator only) KindCacheFlush.
 	Kind Kind
 	// Step is the program step (outer-loop phase).
 	Step int
-	// Proc is the acting worker (-1 for phase boundaries).
+	// Proc is the acting worker (-1 for phase boundaries and cache
+	// flushes).
 	Proc int
 	// Owner is the queue the chunk came from: the owning worker for an
 	// exec record, the victim for a steal, -1 for central queues and
@@ -29,12 +31,18 @@ type Record struct {
 	Lo, Hi int
 	// Start, End is the fact's window: the chunk's execution, the steal
 	// (victim lock acquisition through chunk removal), the lock wait,
-	// or a zero-width instant for phase boundaries.
+	// or a zero-width instant for phase boundaries and cache flushes.
 	Start, End float64
 	// Wait is the measured dispatch wait immediately preceding an exec
 	// record's window (central-queue lock wait or steal latency); 0
 	// when unmeasured and on every other kind.
 	Wait float64
+	// Compute, CacheReload and BusWait split an exec record's window
+	// into the paper's cost mechanisms (see Prov); Misses counts the
+	// chunk's cache misses. The real runtime cannot separate memory
+	// stalls on the host, so it reports the whole window as Compute.
+	Compute, CacheReload, BusWait float64
+	Misses                        int
 }
 
 // Event lowers the record to the event stream's shape.
@@ -47,20 +55,19 @@ func (r Record) Event() Event {
 	return e
 }
 
-// Prov lowers an exec record to its provenance record. The host cannot
-// split memory stalls out of the window, so the whole span is reported
-// as Compute.
+// Prov lowers an exec record to its provenance record.
 func (r Record) Prov() Prov {
 	return Prov{Step: r.Step, Proc: r.Proc, Owner: r.Owner, Stolen: r.Stolen,
-		Lo: r.Lo, Hi: r.Hi, Start: r.Start, End: r.End,
-		QueueWait: r.Wait, Compute: r.End - r.Start}
+		Lo: r.Lo, Hi: r.Hi, Start: r.Start, End: r.End, QueueWait: r.Wait,
+		Compute: r.Compute, CacheReload: r.CacheReload, BusWait: r.BusWait, Misses: r.Misses}
 }
 
-// An Observer consumes the real runtime's records. Exec, steal and
-// queue-wait records are delivered inline from worker goroutines, so
-// implementations must be safe for concurrent use and cheap; phase
-// records come from the submitting goroutine, before the phase's
-// workers start and after its barrier drains.
+// An Observer consumes a substrate's records. The simulator delivers
+// every record from its one goroutine. The real runtime delivers exec,
+// steal and queue-wait records inline from worker goroutines, so
+// observers attached to it must be safe for concurrent use and cheap;
+// its phase records come from the submitting goroutine, before the
+// phase's workers start and after its barrier drains.
 type Observer interface {
 	Observe(Record)
 }
@@ -96,9 +103,9 @@ type eventsOf struct{ s Sink }
 
 func (o eventsOf) Observe(r Record) { o.s.Emit(r.Event()) }
 
-// EventsOf adapts an event sink: every record becomes one Event. The
-// sink must be safe for concurrent use (NewSyncStream, Synchronized).
-// A nil sink gives a nil Observer.
+// EventsOf adapts an event sink: every record becomes one Event. On the
+// real runtime the sink must be safe for concurrent use
+// (NewSyncStream). A nil sink gives a nil Observer.
 func EventsOf(s Sink) Observer {
 	if s == nil {
 		return nil
@@ -115,8 +122,8 @@ func (o provOf) Observe(r Record) {
 }
 
 // ProvOf adapts a provenance sink: every exec record becomes one Prov.
-// The sink must be safe for concurrent use (NewSyncProvStream). A nil
-// sink gives a nil Observer.
+// On the real runtime the sink must be safe for concurrent use
+// (NewSyncProvStream). A nil sink gives a nil Observer.
 func ProvOf(s ProvSink) Observer {
 	if s == nil {
 		return nil

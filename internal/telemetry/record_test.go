@@ -13,7 +13,8 @@ func TestRecordAdapters(t *testing.T) {
 	pv := NewProvStream()
 	obs := Observers(nil, EventsOf(ev), ProvOf(pv))
 	steal := Record{Kind: KindSteal, Step: 1, Proc: 2, Owner: 0, Stolen: true, Lo: 8, Hi: 12, Start: 5, End: 7}
-	exec := Record{Kind: KindExec, Step: 1, Proc: 2, Owner: 0, Stolen: true, Lo: 8, Hi: 12, Start: 7, End: 19, Wait: 2}
+	exec := Record{Kind: KindExec, Step: 1, Proc: 2, Owner: 0, Stolen: true, Lo: 8, Hi: 12, Start: 7, End: 19, Wait: 2,
+		Compute: 9, CacheReload: 2, BusWait: 1, Misses: 3}
 	obs.Observe(steal)
 	obs.Observe(exec)
 
@@ -25,7 +26,7 @@ func TestRecordAdapters(t *testing.T) {
 		t.Fatalf("events = %+v, want %+v", got, want)
 	}
 	wantProv := Prov{Step: 1, Proc: 2, Owner: 0, Stolen: true, Lo: 8, Hi: 12,
-		Start: 7, End: 19, QueueWait: 2, Compute: 12}
+		Start: 7, End: 19, QueueWait: 2, Compute: 9, CacheReload: 2, BusWait: 1, Misses: 3}
 	if got := pv.Records(); len(got) != 1 || got[0] != wantProv {
 		t.Fatalf("prov = %+v, want [%+v]", got, wantProv)
 	}

@@ -4,15 +4,19 @@
 //
 // It provides:
 //
-//   - a structured event stream (exec / steal / queue-wait /
-//     cache-flush / phase-boundary events) behind a pluggable Sink
-//     interface, nil by default so instrumented hot paths pay exactly
-//     one nil check when telemetry is off;
+//   - one hot-path value, Record (record.go): both substrates report
+//     each executed chunk, steal, queue wait, cache flush and phase
+//     boundary as one Record handed to one Observer, nil by default so
+//     instrumented hot paths pay exactly one nil check when telemetry
+//     is off. Readers derive their views from it: EventsOf lowers
+//     records onto an event Sink, ProvOf onto a provenance sink;
 //   - a metrics Registry of named counters, gauges and fixed-bucket
 //     histograms with per-step time-series snapshots (registry.go);
-//   - exporters: JSONL and CSV event dumps (export.go) and the Chrome
+//   - exporters: JSONL and CSV event dumps (export.go), the Chrome
 //     trace-event format loadable in chrome://tracing or Perfetto
-//     (chrometrace.go);
+//     (chrometrace.go), a text Gantt chart and busy/steal summary
+//     (gantt.go), and the forensics trace file that internal/forensics
+//     and cmd/loopdoctor analyze (tracefile.go);
 //   - an invariant verifier over the event stream asserting the
 //     paper's correctness properties (tracecheck.go).
 //
@@ -68,10 +72,9 @@ type Event struct {
 	End    float64
 }
 
-// A Sink consumes events as they happen. Emit is called from the hot
-// path of both runtimes; implementations should be cheap. Sinks used
-// with the real goroutine runtime must be safe for concurrent use
-// (use SyncStream or wrap with Synchronized).
+// A Sink consumes events as they happen; EventsOf adapts one into an
+// Observer. Sinks used with the real goroutine runtime must be safe
+// for concurrent use (SyncStream).
 type Sink interface {
 	Emit(Event)
 }
@@ -136,34 +139,6 @@ func (s *SyncStream) Reset() {
 	s.mu.Unlock()
 }
 
-// MultiSink fans one event out to several sinks.
-type MultiSink []Sink
-
-// Emit forwards to every sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// Tee combines sinks, dropping nils; returns nil when none remain so
-// callers keep the single-nil-check fast path.
-func Tee(sinks ...Sink) Sink {
-	var out MultiSink
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
 // Rebase shifts every event's step and time base before forwarding —
 // the glue for composing several independent runs (each numbering its
 // phases from 0 and its clock from its own start) into one coherent
@@ -180,24 +155,4 @@ func (r *Rebase) Emit(e Event) {
 	e.Start += r.TimeOffset
 	e.End += r.TimeOffset
 	r.Sink.Emit(e)
-}
-
-// Synchronized wraps a sink with a mutex, making it safe for the real
-// runtime's concurrent workers.
-func Synchronized(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	return &lockedSink{inner: s}
-}
-
-type lockedSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-func (l *lockedSink) Emit(e Event) {
-	l.mu.Lock()
-	l.inner.Emit(e)
-	l.mu.Unlock()
 }

@@ -53,21 +53,6 @@ func TestSyncStreamConcurrent(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	if Tee() != nil || Tee(nil, nil) != nil {
-		t.Error("Tee of nothing should be nil")
-	}
-	a, b := NewStream(), NewStream()
-	if Tee(a, nil) != Sink(a) {
-		t.Error("single sink should pass through")
-	}
-	both := Tee(a, b)
-	both.Emit(Event{Kind: KindExec})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Error("fan-out failed")
-	}
-}
-
 func TestRebase(t *testing.T) {
 	s := NewStream()
 	r := &Rebase{Sink: s, StepOffset: 5, TimeOffset: 100}
@@ -75,28 +60,6 @@ func TestRebase(t *testing.T) {
 	e := s.Events()[0]
 	if e.Step != 7 || e.Start != 110 || e.End != 120 {
 		t.Errorf("rebased event = %+v", e)
-	}
-}
-
-func TestSynchronized(t *testing.T) {
-	if Synchronized(nil) != nil {
-		t.Error("Synchronized(nil) should stay nil")
-	}
-	s := NewStream()
-	locked := Synchronized(s)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				locked.Emit(Event{Kind: KindExec})
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Len() != 200 {
-		t.Errorf("got %d, want 200", s.Len())
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spantrace"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Scheduler identifies a loop scheduling algorithm configuration.
@@ -738,17 +737,6 @@ type SimTouch = sim.Touch
 // SimResult reports a simulated execution.
 type SimResult = sim.Metrics
 
-// SimOptions tunes a simulation run (per-processor start delays,
-// jitter seed, optional trace).
-type SimOptions = sim.Options
-
-// Trace records chunk executions and steals during a simulation; pass
-// NewTrace(p) via SimOptions.Trace and render with Gantt/Summary.
-type Trace = trace.Trace
-
-// NewTrace creates a trace for p processors.
-func NewTrace(p int) *Trace { return trace.New(p) }
-
 // TelemetryEvent is one structured scheduling event (exec, steal,
 // queue wait, cache flush, phase boundary) from either substrate.
 type TelemetryEvent = telemetry.Event
@@ -758,7 +746,7 @@ type EventSink = telemetry.Sink
 
 // EventStream is a concurrent-safe in-memory event sink, usable with
 // both the real runtime (WithEvents) and the simulator
-// (SimOptions.Events).
+// (WithSimEvents).
 type EventStream = telemetry.SyncStream
 
 // NewEventStream creates an empty concurrent-safe event stream.
@@ -775,7 +763,7 @@ type ProvenanceSink = telemetry.ProvSink
 
 // ProvenanceStream is a concurrent-safe in-memory provenance sink,
 // usable with both the real runtime (WithProvenance) and the simulator
-// (SimOptions.Prov accepts any ProvenanceSink).
+// (WithSimProvenance accepts any ProvenanceSink).
 type ProvenanceStream = telemetry.SyncProvStream
 
 // NewProvenanceStream creates an empty concurrent-safe provenance
@@ -812,71 +800,69 @@ func WriteChromeTrace(w io.Writer, events []TelemetryEvent, label string, procs 
 	})
 }
 
+// simConfig collects the SimOption settings; Simulate lowers it to
+// sim.Options the way config.lower does for the real runtime.
+type simConfig struct {
+	opts   sim.Options
+	events EventSink
+	prov   ProvenanceSink
+}
+
 // SimOption tunes one Simulate run, mirroring ParallelFor's variadic
 // option style.
-type SimOption func(*sim.Options)
+type SimOption func(*simConfig)
 
 // WithSimSeed sets the deterministic jitter seed; equal seeds give
 // bit-identical runs.
 func WithSimSeed(seed uint64) SimOption {
-	return func(o *sim.Options) { o.Seed = seed }
+	return func(c *simConfig) { c.opts.Seed = seed }
 }
 
 // WithSimStartDelay gives each processor extra cycles before it starts
 // fetching work in step 0 (the §4.5 delayed-start experiments).
 func WithSimStartDelay(delays ...float64) SimOption {
-	return func(o *sim.Options) { o.StartDelay = delays }
-}
-
-// WithSimTrace records every chunk execution and steal into t.
-func WithSimTrace(t *Trace) SimOption {
-	return func(o *sim.Options) { o.Trace = t }
+	return func(c *simConfig) { c.opts.StartDelay = delays }
 }
 
 // WithSimEvents attaches a telemetry sink receiving the structured
 // event stream (the simulator is single-threaded, so an
 // unsynchronised stream is fine).
 func WithSimEvents(s EventSink) SimOption {
-	return func(o *sim.Options) { o.Events = s }
+	return func(c *simConfig) { c.events = s }
 }
 
 // WithSimMetrics attaches a metrics registry snapshotted at every step
 // barrier.
 func WithSimMetrics(r *MetricsRegistry) SimOption {
-	return func(o *sim.Options) { o.Metrics = r }
+	return func(c *simConfig) { c.opts.Metrics = r }
 }
 
 // WithSimProvenance attaches a provenance sink receiving one record
 // per executed chunk with its exact cost decomposition.
 func WithSimProvenance(s ProvenanceSink) SimOption {
-	return func(o *sim.Options) { o.Prov = s }
+	return func(c *simConfig) { c.prov = s }
 }
 
 // WithSimActiveProcs models a space-sharing OS growing and shrinking
 // the application's processor partition between steps (clamped to
 // [1, P]).
 func WithSimActiveProcs(f func(step int) int) SimOption {
-	return func(o *sim.Options) { o.ActiveProcs = f }
+	return func(c *simConfig) { c.opts.ActiveProcs = f }
 }
 
 // WithSimCacheFlush invalidates every processor's cache after each
 // group of that many steps — modelling a time-sharing quantum
 // corrupting the caches (§2.1, §6).
 func WithSimCacheFlush(everySteps int) SimOption {
-	return func(o *sim.Options) { o.FlushEverySteps = everySteps }
-}
-
-// WithSimOptions applies a whole SimOptions struct at once — the
-// migration path for code written against the deprecated SimulateOpts.
-func WithSimOptions(opts SimOptions) SimOption {
-	return func(o *sim.Options) { *o = opts }
+	return func(c *simConfig) { c.opts.FlushEverySteps = everySteps }
 }
 
 // Simulate runs prog on p simulated processors of m under s.
 func Simulate(m *Machine, p int, s Scheduler, prog SimProgram, opts ...SimOption) (SimResult, error) {
-	var o sim.Options
+	var c simConfig
 	for _, opt := range opts {
-		opt(&o)
+		opt(&c)
 	}
-	return sim.RunOpts(m, p, s, prog, o)
+	c.opts.Observer = telemetry.Observers(telemetry.EventsOf(c.events), telemetry.ProvOf(c.prov))
+	return sim.RunOpts(m, p, s, prog, c.opts)
 }

@@ -295,10 +295,9 @@ func TestParallelForCtx(t *testing.T) {
 	}
 }
 
-// TestSimulateVariadicOptions: the redesigned Simulate takes options
-// directly; applying a whole SimOptions struct via WithSimOptions
-// (the migration path from the removed SimulateOpts) must agree
-// bit-for-bit.
+// TestSimulateVariadicOptions: Simulate takes its options directly;
+// attaching event, provenance and metrics readers must not perturb the
+// schedule, and each reader sees the whole run.
 func TestSimulateVariadicOptions(t *testing.T) {
 	m := repro.Iris()
 	build := func() repro.SimProgram {
@@ -310,25 +309,35 @@ func TestSimulateVariadicOptions(t *testing.T) {
 			},
 		}
 	}
-	tr := repro.NewTrace(4)
+	events := repro.NewEventStream()
+	prov := repro.NewProvenanceStream()
 	reg := repro.NewMetricsRegistry()
 	res, err := repro.Simulate(m, 4, repro.AFS(), build(),
-		repro.WithSimSeed(7), repro.WithSimTrace(tr), repro.WithSimMetrics(reg),
-		repro.WithSimStartDelay(1000))
+		repro.WithSimSeed(7), repro.WithSimEvents(events), repro.WithSimProvenance(prov),
+		repro.WithSimMetrics(reg), repro.WithSimStartDelay(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles <= 0 {
 		t.Fatal("no cycles simulated")
 	}
-	old, err := repro.Simulate(m, 4, repro.AFS(), build(), repro.WithSimOptions(repro.SimOptions{
-		Seed: 7, StartDelay: []float64{1000},
-	}))
+	bare, err := repro.Simulate(m, 4, repro.AFS(), build(),
+		repro.WithSimSeed(7), repro.WithSimStartDelay(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Cycles != res.Cycles {
-		t.Errorf("WithSimOptions diverged from per-field options: %f vs %f cycles", old.Cycles, res.Cycles)
+	if bare.Cycles != res.Cycles {
+		t.Errorf("observed run diverged from the bare run: %f vs %f cycles", res.Cycles, bare.Cycles)
+	}
+	if err := repro.CheckTrace(events.Events()).Err(); err != nil {
+		t.Errorf("WithSimEvents stream: %v", err)
+	}
+	iters := 0
+	for _, r := range prov.Records() {
+		iters += r.Hi - r.Lo
+	}
+	if iters != 3*128 {
+		t.Errorf("WithSimProvenance covered %d iterations, want %d", iters, 3*128)
 	}
 	if len(reg.Series()) == 0 {
 		t.Error("WithSimMetrics recorded no series")
