@@ -38,7 +38,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -53,11 +52,11 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/cli"
 	"repro/internal/livemetrics"
-	"repro/internal/promtext"
 	"repro/internal/runtimeobs"
 	"repro/internal/serve"
 	"repro/internal/slo"
 	"repro/internal/watchdog"
+	"repro/internal/webui"
 )
 
 func main() {
@@ -129,25 +128,21 @@ const (
 func objectives() []slo.Objective { return append(slo.DefaultObjectives(), slo.ServingObjectives()...) }
 func rules() []watchdog.Rule      { return append(watchdog.DefaultRules(), watchdog.ServingRules()...) }
 
-// writeCombinedProm concatenates every exposition the daemon owns into
-// one scrape, deduplicating # HELP/# TYPE per family so a family
-// declared by two writers stays a valid exposition: plane + per-tenant
-// admission, SLO burn rates, watchdog, and Go runtime series.
+// writeCombinedProm writes every exposition the daemon owns into one
+// scrape, in sequence: plane + per-tenant admission, SLO burn rates,
+// watchdog, and Go runtime series. Each family has exactly one writer,
+// so the concatenation is itself a valid exposition.
 func writeCombinedProm(w io.Writer, plane *livemetrics.Plane, sloEng *slo.Engine, wd *watchdog.Watchdog, sampler *runtimeobs.Sampler) error {
-	d := promtext.NewFamilyDeduper(w)
-	if err := livemetrics.WriteProm(d, plane.Snapshot()); err != nil {
+	if err := livemetrics.WriteProm(w, plane.Snapshot()); err != nil {
 		return err
 	}
-	if err := slo.WriteProm(d, sloEng.Report()); err != nil {
+	if err := slo.WriteProm(w, sloEng.Report()); err != nil {
 		return err
 	}
-	if err := watchdog.WriteProm(d, wd.Status()); err != nil {
+	if err := watchdog.WriteProm(w, wd.Status()); err != nil {
 		return err
 	}
-	if err := runtimeobs.WriteProm(d, sampler.Snapshot()); err != nil {
-		return err
-	}
-	return d.Flush()
+	return runtimeobs.WriteProm(w, sampler.Snapshot())
 }
 
 func run(args []string) error {
@@ -234,17 +229,11 @@ func run(args []string) error {
 		mux.Handle(path, obsHandler)
 	}
 	mux.Handle("/slo", slo.Handler(sloEng, label))
-	serveJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	}
 	mux.HandleFunc("/watchdog", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, wd.Status())
+		webui.WriteJSON(w, wd.Status())
 	})
 	mux.HandleFunc("/runtime", func(w http.ResponseWriter, r *http.Request) {
-		serveJSON(w, sampler.Snapshot())
+		webui.WriteJSON(w, sampler.Snapshot())
 	})
 	mux.HandleFunc("/bundles", func(w http.ResponseWriter, r *http.Request) {
 		if bstore == nil {

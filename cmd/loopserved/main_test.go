@@ -15,10 +15,9 @@ import (
 )
 
 // TestCombinedPromValid is the regression test for the combined
-// /metrics.prom surface: all four writers concatenated through the
-// family deduper must form one valid exposition (promtext rejects
-// duplicate # HELP/# TYPE declarations and duplicate sample
-// identities). The SLO engine and watchdog are armed with the same
+// /metrics.prom surface: the four writers' expositions, written in
+// sequence, must form one valid exposition (promtext rejects a family
+// declared twice and duplicate sample identities). The SLO engine and watchdog are armed with the same
 // objective and rule lists run uses, and one served job puts the
 // admission series on the plane.
 func TestCombinedPromValid(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -29,6 +28,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/webui"
 	"repro/internal/workload"
 )
 
@@ -46,7 +46,7 @@ func main() {
 		check      = flag.Bool("check", false, "verify the event stream against the paper's invariants")
 		traceAlgo  = flag.String("trace-algo", "afs", "algorithm for the instrumented -trace-out/-metrics-out/-check run")
 		queueDepth = flag.Duration("queue-depths", 0, "sample per-queue backlog at this interval during the instrumented run (e.g. 200µs; 0 = off)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060) during the sweep")
+		pprofAddr  = flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. :6060) during the sweep")
 	)
 	// Flag-parse errors must exit non-zero like every other error path:
 	// flag's ExitOnError already exits 2, but a custom Usage keeps the
@@ -78,7 +78,7 @@ func main() {
 
 	if *pprofAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(*pprofAddr, webui.DebugHandler()); err != nil {
 				fmt.Fprintln(os.Stderr, "realbench: pprof server:", err)
 			}
 		}()

@@ -1,24 +1,22 @@
 package bundle
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"time"
+
+	"repro/internal/webui"
 )
 
 // ServeList writes the store's retained bundles as JSON, newest
 // first (loopserved's /bundles endpoint).
 func ServeList(w http.ResponseWriter, s *Store) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	entries := s.List()
 	if entries == nil {
 		entries = []Entry{}
 	}
-	_ = enc.Encode(entries)
+	webui.WriteJSON(w, entries)
 }
 
 // ServeBundle streams one bundle tar by ?id= (loopserved's /bundle

@@ -1,13 +1,11 @@
 package livemetrics
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"html/template"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,12 +37,8 @@ var (
 //	              ?which=live|anomaly
 //	/traces       span-trace summaries (404 until SetTracer)
 //	/trace        one span tree by ?id=; ?format=json|trace
-//	/debug/       pprof and expvar
-//
-// The /debug/ tree serves explicit pprof and expvar handlers, NOT
-// http.DefaultServeMux: mounting the default mux would leak every
-// handler any package in the process registered globally (and pprof's
-// init-time registrations) into this surface.
+//	/debug/       pprof and expvar (webui.DebugHandler, which never
+//	              mounts the process-wide default mux)
 //
 // label names the engine in the HTML view and trace metadata.
 func NewHandler(p *Plane, label string) http.Handler {
@@ -63,14 +57,14 @@ func NewHandler(p *Plane, label string) http.Handler {
 		renderIndex(w, label)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Snapshot())
+		webui.WriteJSON(w, p.Snapshot())
 	})
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteProm(w, p.Snapshot())
 	})
 	mux.HandleFunc("/workers", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Snapshot().Workers)
+		webui.WriteJSON(w, p.Snapshot().Workers)
 	})
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
 		serveFlight(w, r, p, label)
@@ -91,20 +85,8 @@ func NewHandler(p *Plane, label string) http.Handler {
 		}
 		spantrace.ServeTrace(w, r, t)
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/debug/", webui.DebugHandler())
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // WriteTrace serializes the dump's fully captured steps (Consistent)
@@ -117,9 +99,7 @@ func (d *FlightDump) WriteTrace(w io.Writer, label string, procs int) error {
 		Meta:   telemetry.Meta{Label: label, Substrate: "real", Procs: procs, TimeUnit: "ns"},
 		Events: evs, Prov: pvs,
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
+	return t.Write(w)
 }
 
 func serveFlight(w http.ResponseWriter, r *http.Request, p *Plane, label string) {
@@ -204,15 +184,6 @@ function fmtNS(ns) {
   if (ns >= 1e6) return (ns / 1e6).toPrecision(3) + 'ms';
   if (ns >= 1e3) return (ns / 1e3).toPrecision(3) + 'µs';
   return ns.toPrecision(3) + 'ns';
-}
-function row(cells) {
-  const tr = document.createElement('tr');
-  for (const v of cells) {
-    const td = document.createElement('td');
-    td.textContent = v;
-    tr.appendChild(td);
-  }
-  return tr;
 }
 function render(s) {
   const c = s.counters;

@@ -1,10 +1,11 @@
 package livemetrics
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
+
+	"repro/internal/promtext"
 )
 
 // WriteProm renders a snapshot in the Prometheus text exposition
@@ -13,76 +14,56 @@ import (
 // loopsched_; quantiles are gauges carrying a quantile label, and the
 // retained latency exemplars appear as gauges labelled with their
 // trace IDs so an alert on the p99 series links straight to a span
-// tree. Validity is locked down by internal/promtext's parser test.
+// tree.
 func WriteProm(w io.Writer, s Snapshot) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	pw := promtext.NewWriter(w)
+	pw.Counter("loopsched_submissions_total", "Submissions observed since the plane started.", s.Counters.Submissions)
+	pw.Counter("loopsched_submissions_completed_total", "Submissions that ran to completion.", s.Counters.Completed)
+	pw.Counter("loopsched_submissions_cancelled_total", "Submissions stopped by their context.", s.Counters.Cancellations)
+	pw.Counter("loopsched_submissions_panicked_total", "Submissions whose loop body panicked.", s.Counters.Panics)
+	pw.Counter("loopsched_chunks_total", "Chunks executed across all workers.", s.Counters.Chunks)
+	pw.Counter("loopsched_steals_total", "Successful steal operations.", s.Counters.Steals)
+	pw.Counter("loopsched_migrated_iters_total", "Iterations moved by steals.", s.Counters.MigratedIters)
+	pw.Counter("loopsched_flight_dropped_events_total", "Flight-recorder event evictions.", s.FlightDroppedEvents)
+	pw.Counter("loopsched_flight_dropped_prov_total", "Flight-recorder provenance evictions.", s.FlightDroppedProv)
 
-	counter := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("loopsched_submissions_total", "Submissions observed since the plane started.", s.Counters.Submissions)
-	counter("loopsched_submissions_completed_total", "Submissions that ran to completion.", s.Counters.Completed)
-	counter("loopsched_submissions_cancelled_total", "Submissions stopped by their context.", s.Counters.Cancellations)
-	counter("loopsched_submissions_panicked_total", "Submissions whose loop body panicked.", s.Counters.Panics)
-	counter("loopsched_chunks_total", "Chunks executed across all workers.", s.Counters.Chunks)
-	counter("loopsched_steals_total", "Successful steal operations.", s.Counters.Steals)
-	counter("loopsched_migrated_iters_total", "Iterations moved by steals.", s.Counters.MigratedIters)
-	counter("loopsched_flight_dropped_events_total", "Flight-recorder event evictions.", s.FlightDroppedEvents)
-	counter("loopsched_flight_dropped_prov_total", "Flight-recorder provenance evictions.", s.FlightDroppedProv)
-
-	p("# HELP loopsched_uptime_seconds Seconds since the plane started.\n")
-	p("# TYPE loopsched_uptime_seconds gauge\n")
-	p("loopsched_uptime_seconds %s\n", f(s.UptimeSeconds))
+	pw.Family("loopsched_uptime_seconds", "gauge", "Seconds since the plane started.")
+	pw.Float("loopsched_uptime_seconds", s.UptimeSeconds)
 
 	quant := func(name, help string, q Quantiles) {
-		p("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		p("%s{quantile=\"0.5\"} %s\n", name, f(q.P50))
-		p("%s{quantile=\"0.9\"} %s\n", name, f(q.P90))
-		p("%s{quantile=\"0.99\"} %s\n", name, f(q.P99))
-		cname := name + "_count"
-		p("# HELP %s Observations in the rolling window.\n# TYPE %s gauge\n%s %d\n", cname, cname, cname, q.Count)
+		pw.Quantiles(name, help, "Observations in the rolling window.", q.Count, q.P50, q.P90, q.P99)
 	}
 	quant("loopsched_submission_latency_ns", "Rolling submission wall latency (ns).", s.Submission)
 	quant("loopsched_chunk_latency_ns", "Rolling chunk execution latency (ns).", s.Chunk)
 	quant("loopsched_steal_latency_ns", "Rolling steal latency (ns).", s.Steal)
 
-	p("# HELP loopsched_worker_chunks_total Chunks executed by the worker.\n")
-	p("# TYPE loopsched_worker_chunks_total counter\n")
+	pw.Family("loopsched_worker_chunks_total", "counter", "Chunks executed by the worker.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_chunks_total{worker=\"%d\"} %d\n", ws.Worker, ws.Chunks)
+		pw.Int("loopsched_worker_chunks_total", ws.Chunks, "worker", strconv.Itoa(ws.Worker))
 	}
-	p("# HELP loopsched_worker_affinity_hit_ratio Un-stolen chunks run on their static owner / all chunks.\n")
-	p("# TYPE loopsched_worker_affinity_hit_ratio gauge\n")
+	pw.Family("loopsched_worker_affinity_hit_ratio", "gauge", "Un-stolen chunks run on their static owner / all chunks.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_affinity_hit_ratio{worker=\"%d\"} %s\n", ws.Worker, f(ws.AffinityHitRatio))
+		pw.Float("loopsched_worker_affinity_hit_ratio", ws.AffinityHitRatio, "worker", strconv.Itoa(ws.Worker))
 	}
-	p("# HELP loopsched_worker_utilization Busy-time fraction over the last sample interval.\n")
-	p("# TYPE loopsched_worker_utilization gauge\n")
+	pw.Family("loopsched_worker_utilization", "gauge", "Busy-time fraction over the last sample interval.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_utilization{worker=\"%d\"} %s\n", ws.Worker, f(ws.Utilization))
+		pw.Float("loopsched_worker_utilization", ws.Utilization, "worker", strconv.Itoa(ws.Worker))
 	}
-	p("# HELP loopsched_worker_queue_depth Queued iterations in the worker's queue.\n")
-	p("# TYPE loopsched_worker_queue_depth gauge\n")
+	pw.Family("loopsched_worker_queue_depth", "gauge", "Queued iterations in the worker's queue.")
 	for _, ws := range s.Workers {
-		p("loopsched_worker_queue_depth{worker=\"%d\"} %d\n", ws.Worker, ws.QueueDepth)
+		pw.Int("loopsched_worker_queue_depth", int64(ws.QueueDepth), "worker", strconv.Itoa(ws.Worker))
 	}
 
 	if a := s.Admission; a != nil {
-		counter("loopsched_admission_admitted_total", "Jobs admitted by the serving layer.", a.Admitted)
-		counter("loopsched_admission_shed_total", "Jobs shed by quota or queue overload (HTTP 429).", a.Shed)
-		counter("loopsched_admission_rejected_total", "Jobs rejected as invalid or unservable.", a.Rejected)
+		pw.Counter("loopsched_admission_admitted_total", "Jobs admitted by the serving layer.", a.Admitted)
+		pw.Counter("loopsched_admission_shed_total", "Jobs shed by quota or queue overload (HTTP 429).", a.Shed)
+		pw.Counter("loopsched_admission_rejected_total", "Jobs rejected as invalid or unservable.", a.Rejected)
 		quant("loopsched_admission_wait_ns", "Rolling admission queue wait of admitted jobs (ns).", a.Wait)
 
 		tenantCounter := func(name, help string, v func(TenantSnapshot) int64) {
-			p("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+			pw.Family(name, "counter", help)
 			for _, ts := range a.Tenants {
-				p("%s{tenant=%q} %d\n", name, ts.Tenant, v(ts))
+				pw.Int(name, v(ts), "tenant", ts.Tenant)
 			}
 		}
 		tenantCounter("loopsched_tenant_submitted_total", "Jobs submitted by the tenant.",
@@ -98,8 +79,8 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	}
 
 	if len(s.SubmissionExemplars) > 0 {
-		p("# HELP loopsched_submission_exemplar_latency_ns Retained traced submissions, slowest first; trace_id resolves via /trace?id= or loopdoctor trace.\n")
-		p("# TYPE loopsched_submission_exemplar_latency_ns gauge\n")
+		const name = "loopsched_submission_exemplar_latency_ns"
+		pw.Family(name, "gauge", "Retained traced submissions, slowest first; trace_id resolves via /trace?id= or loopdoctor trace.")
 		// The exposition format forbids duplicate label sets; exemplars
 		// are unique by trace ID, but guard anyway in case one trace is
 		// retained in two buckets after a histogram reconfiguration.
@@ -111,8 +92,8 @@ func WriteProm(w io.Writer, s Snapshot) error {
 				continue
 			}
 			seen[e.TraceID] = true
-			p("loopsched_submission_exemplar_latency_ns{trace_id=\"%d\",rank=\"%d\"} %s\n", e.TraceID, i, f(e.LatencyNS))
+			pw.Float(name, e.LatencyNS, "trace_id", strconv.FormatUint(e.TraceID, 10), "rank", strconv.Itoa(i))
 		}
 	}
-	return err
+	return pw.Err()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,8 +73,7 @@ var (
 
 // NewServer builds the dashboard handler over the baseline directory.
 // live may be nil (the live panel then reports idle). The handler also
-// exposes /debug/pprof and /debug/vars via the default mux, reusing
-// realbench's profiling wiring.
+// exposes /debug/pprof and /debug/vars through webui.DebugHandler.
 func NewServer(dir string, live *LiveState) http.Handler {
 	if live == nil {
 		live = &LiveState{}
@@ -125,7 +123,7 @@ func NewServer(dir string, live *LiveState) http.Handler {
 		TrendFigure(id, baselines).SVG(&b)
 		fmt.Fprint(w, b.String())
 	})
-	mux.Handle("/debug/", http.DefaultServeMux) // pprof + expvar
+	mux.Handle("/debug/", webui.DebugHandler())
 	return mux
 }
 

@@ -1,11 +1,11 @@
-// Package promtext is a minimal parser for the Prometheus text
-// exposition format (version 0.0.4) — just enough to validate that
-// the /metrics.prom surface emitted by internal/livemetrics and
-// internal/slo is well-formed: metric and label names match the
-// Prometheus grammar, every sample parses to a float, TYPE
-// declarations precede their samples, and no two samples share a
-// (name, label set) identity. It is a test dependency, not a
-// monitoring client.
+// Package promtext owns the Prometheus text exposition format
+// (version 0.0.4) in this module. Writer is the one writer every
+// /metrics.prom exposition goes through (livemetrics, slo, watchdog,
+// runtimeobs). Parse is a minimal validating parser, just enough to
+// check a scrape: metric and label names match the Prometheus
+// grammar, every sample parses to a float, each family is declared
+// at most once and before its samples, and no two samples share a
+// (name, label set) identity. It is not a monitoring client.
 package promtext
 
 import (
@@ -157,8 +157,7 @@ func (e *Exposition) parseComment(line string, sampled, declared map[string]bool
 			return fmt.Errorf("malformed HELP line %q", line)
 		}
 		// The format allows at most one HELP per family; a repeat is
-		// the signature of naively concatenated expositions (route the
-		// writers through a FamilyDeduper instead).
+		// the signature of two writers declaring the same family.
 		if declared["H "+fields[2]] {
 			return fmt.Errorf("duplicate HELP for %s", fields[2])
 		}

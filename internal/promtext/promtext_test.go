@@ -1,6 +1,7 @@
 package promtext
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,79 @@ func TestParseRejects(t *testing.T) {
 	// A free-form comment is not an error.
 	if _, err := Parse(strings.NewReader("# hello\na 1\n")); err != nil {
 		t.Errorf("free-form comment rejected: %v", err)
+	}
+}
+
+func TestParseRejectsDuplicateFamilyDeclarations(t *testing.T) {
+	// Two expositions sharing a family, naively concatenated.
+	const combined = `# HELP loopsched_shared_total A counter both writers declare.
+# TYPE loopsched_shared_total counter
+loopsched_shared_total{src="plane"} 3
+# HELP loopsched_shared_total A counter both writers declare.
+# TYPE loopsched_shared_total counter
+loopsched_shared_total{src="slo"} 7
+`
+	if _, err := Parse(strings.NewReader(combined)); err == nil || !strings.Contains(err.Error(), "duplicate HELP") {
+		t.Fatalf("duplicate HELP: err = %v", err)
+	}
+	dupType := "# TYPE loopsched_x counter\n# TYPE loopsched_x counter\nloopsched_x 1\n"
+	if _, err := Parse(strings.NewReader(dupType)); err == nil || !strings.Contains(err.Error(), "duplicate TYPE") {
+		t.Fatalf("duplicate TYPE: err = %v", err)
+	}
+}
+
+// TestWriterRoundTrip writes every kind of family the Writer offers,
+// with a label value that needs escaping, and parses it back.
+func TestWriterRoundTrip(t *testing.T) {
+	var b strings.Builder
+	pw := NewWriter(&b)
+	pw.Counter("x_total", "Things counted.", 42)
+	pw.Family("g", "gauge", "A labelled gauge.")
+	pw.Float("g", 2.5e-7, "name", "a\"b\\c\nd", "k", "v")
+	pw.Int("g", -3, "name", "plain", "k", "v")
+	pw.Quantiles("lat_ns", "Latency.", "Observations.", 7, 1, 1e6, 2.5e9)
+	if err := pw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, b.String())
+	}
+	for _, c := range []struct {
+		name string
+		kv   []string
+		want float64
+	}{
+		{"x_total", nil, 42},
+		{"g", []string{"name", "a\"b\\c\nd", "k", "v"}, 2.5e-7},
+		{"g", []string{"name", "plain", "k", "v"}, -3},
+		{"lat_ns", []string{"quantile", "0.99"}, 2.5e9},
+		{"lat_ns_count", nil, 7},
+	} {
+		if v, err := exp.Value(c.name, c.kv...); err != nil || v != c.want {
+			t.Errorf("%s%v = %v, %v; want %v", c.name, c.kv, v, err, c.want)
+		}
+	}
+	if exp.Families["x_total"].Type != "counter" || exp.Families["lat_ns_count"].Type != "gauge" {
+		t.Errorf("family types: %+v", exp.Families)
+	}
+}
+
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	f.n++
+	return 0, errors.New("closed")
+}
+
+// TestWriterErrorSticks: after the first failed write the Writer
+// stops writing and keeps reporting that error.
+func TestWriterErrorSticks(t *testing.T) {
+	fw := &failWriter{}
+	pw := NewWriter(fw)
+	pw.Counter("a_total", "A.", 1)
+	pw.Quantiles("b", "B.", "C.", 1, 1, 2, 3)
+	if pw.Err() == nil || fw.n != 1 {
+		t.Fatalf("err = %v after %d writes, want one failed write", pw.Err(), fw.n)
 	}
 }

@@ -54,13 +54,16 @@ type kernelInfo struct {
 //	           400 invalid spec or unknown field,
 //	           413 body over maxSpecBytes,
 //	           429 shed (Retry-After header),
-//	           503 server closed, 500 kernel panic.
+//	           503 server closed, 500 kernel panic,
+//	           405 with Allow: POST for any other method.
 //	/kernels   registered kernels with their default params
 //	/status    queue depth, dispatch totals, tenants, shards (JSON)
 //	/tenants   the status's tenant rows only
 //	/shards    the status's shard rows only
 //	/healthz   liveness: 200 {"ok":true} until Close, then 503
 //
+// Every JSON answer except a refusal goes through webui.WriteJSON;
+// refusals are errorResponse bodies written by writeError.
 // Observability (metrics, flight, traces, SLOs) is NOT mounted here —
 // the daemon composes this handler with livemetrics.NewHandler and
 // slo.Handler on their own routes.
@@ -76,6 +79,7 @@ func NewHandler(s *Server, label string) http.Handler {
 	})
 	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
 			http.Error(w, "POST a job spec", http.StatusMethodNotAllowed)
 			return
 		}
@@ -98,7 +102,7 @@ func NewHandler(s *Server, label string) http.Handler {
 			writeError(w, HTTPStatus(err), err)
 			return
 		}
-		writeJSON(w, jobResponse{
+		webui.WriteJSON(w, jobResponse{
 			Tenant:        res.Tenant,
 			Scheduler:     res.Scheduler,
 			Procs:         res.Procs,
@@ -117,33 +121,26 @@ func NewHandler(s *Server, label string) http.Handler {
 		for _, k := range job.Kernels() {
 			rows = append(rows, kernelInfo{Name: k.Name, Description: k.Description, Defaults: k.Defaults})
 		}
-		writeJSON(w, rows)
+		webui.WriteJSON(w, rows)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status())
+		webui.WriteJSON(w, s.Status())
 	})
 	mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status().Tenants)
+		webui.WriteJSON(w, s.Status().Tenants)
 	})
 	mux.HandleFunc("/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Status().Shards)
+		webui.WriteJSON(w, s.Status().Shards)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.closed.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			writeJSON(w, map[string]bool{"ok": false})
+			webui.WriteJSON(w, map[string]bool{"ok": false})
 			return
 		}
-		writeJSON(w, map[string]bool{"ok": true})
+		webui.WriteJSON(w, map[string]bool{"ok": true})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -192,15 +189,6 @@ shard reuse its persistent affinity state.</p>
 `))
 
 const serveIndexScript = template.JS(`
-function row(cells) {
-  const tr = document.createElement('tr');
-  for (const v of cells) {
-    const td = document.createElement('td');
-    td.textContent = v;
-    tr.appendChild(td);
-  }
-  return tr;
-}
 function render(s) {
   document.getElementById('serve-status').textContent =
     s.queued + '/' + s.queue_limit + ' queued, ' +

@@ -420,6 +420,16 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Any other method on /jobs is a 405 naming the allowed one.
+	resp, err = http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET /jobs = %d, Allow %q; want 405, Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+
 	for _, path := range []string{"/kernels", "/status", "/tenants", "/shards", "/healthz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -1,9 +1,10 @@
 package slo
 
 import (
-	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/promtext"
 )
 
 // WriteProm renders a report in the Prometheus text exposition format
@@ -12,52 +13,37 @@ import (
 // observed value per objective, and 0/1 breach flags ready for
 // alerting rules.
 func WriteProm(w io.Writer, rep Report) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	pw := promtext.NewWriter(w)
+	pw.Counter("loopsched_slo_evaluations_total", "SLO engine ticks since start.", rep.Ticks)
 
-	p("# HELP loopsched_slo_evaluations_total SLO engine ticks since start.\n")
-	p("# TYPE loopsched_slo_evaluations_total counter\n")
-	p("loopsched_slo_evaluations_total %d\n", rep.Ticks)
-
-	p("# HELP loopsched_slo_value Last observed value of the objective's metric.\n")
-	p("# TYPE loopsched_slo_value gauge\n")
+	pw.Family("loopsched_slo_value", "gauge", "Last observed value of the objective's metric.")
 	for _, o := range rep.Objectives {
 		if o.Observed {
-			p("loopsched_slo_value{objective=%q} %s\n", o.Name, f(o.Value))
+			pw.Float("loopsched_slo_value", o.Value, "objective", o.Name)
 		}
 	}
 
-	p("# HELP loopsched_slo_breaching 1 when every window of the objective is burning.\n")
-	p("# TYPE loopsched_slo_breaching gauge\n")
+	pw.Family("loopsched_slo_breaching", "gauge", "1 when every window of the objective is burning.")
 	for _, o := range rep.Objectives {
-		v := 0
+		var v int64
 		if o.Breaching {
 			v = 1
 		}
-		p("loopsched_slo_breaching{objective=%q} %d\n", o.Name, v)
+		pw.Int("loopsched_slo_breaching", v, "objective", o.Name)
 	}
 
-	p("# HELP loopsched_slo_burn_rate Window bad fraction over the error budget.\n")
-	p("# TYPE loopsched_slo_burn_rate gauge\n")
-	for _, o := range rep.Objectives {
-		for _, ws := range o.Windows {
-			p("loopsched_slo_burn_rate{objective=%q,window=\"%ss\"} %s\n",
-				o.Name, f(ws.DurationSecs), f(ws.BurnRate))
+	windowed := func(name, help string, v func(WindowStatus) float64) {
+		pw.Family(name, "gauge", help)
+		for _, o := range rep.Objectives {
+			for _, ws := range o.Windows {
+				window := strconv.FormatFloat(ws.DurationSecs, 'g', -1, 64) + "s"
+				pw.Float(name, v(ws), "objective", o.Name, "window", window)
+			}
 		}
 	}
-
-	p("# HELP loopsched_slo_bad_fraction Bad observations over all observations in the window.\n")
-	p("# TYPE loopsched_slo_bad_fraction gauge\n")
-	for _, o := range rep.Objectives {
-		for _, ws := range o.Windows {
-			p("loopsched_slo_bad_fraction{objective=%q,window=\"%ss\"} %s\n",
-				o.Name, f(ws.DurationSecs), f(ws.BadFraction))
-		}
-	}
-	return err
+	windowed("loopsched_slo_burn_rate", "Window bad fraction over the error budget.",
+		func(ws WindowStatus) float64 { return ws.BurnRate })
+	windowed("loopsched_slo_bad_fraction", "Bad observations over all observations in the window.",
+		func(ws WindowStatus) float64 { return ws.BadFraction })
+	return pw.Err()
 }

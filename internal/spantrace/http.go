@@ -1,13 +1,13 @@
 package spantrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
 	"repro/internal/telemetry"
+	"repro/internal/webui"
 )
 
 // WriteForensics serializes the trace in the forensics trace-file wire
@@ -20,9 +20,7 @@ func (t *Trace) WriteForensics(w io.Writer, substrate, timeUnit string) error {
 		f.Meta.Label = fmt.Sprintf("trace %d (%s)", t.TraceID, t.Scheduler)
 	}
 	f.Events, f.Prov = t.Telemetry()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+	return f.Write(w)
 }
 
 // TraceSummary is the list row served for one retained trace.
@@ -57,10 +55,7 @@ func ServeTraces(w http.ResponseWriter, t *Tracer) {
 	for _, tr := range t.Traces() {
 		out = append(out, tr.Summary())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	webui.WriteJSON(w, out)
 }
 
 // ServeTrace resolves ?id= against the tracer and serves the span
@@ -80,10 +75,7 @@ func ServeTrace(w http.ResponseWriter, r *http.Request, t *Tracer) {
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(tr)
+		webui.WriteJSON(w, tr)
 	case "trace":
 		w.Header().Set("Content-Type", "application/json")
 		if err := tr.WriteForensics(w, "real", "ns"); err != nil {
@@ -92,23 +84,4 @@ func ServeTrace(w http.ResponseWriter, r *http.Request, t *Tracer) {
 	default:
 		http.Error(w, fmt.Sprintf("unknown format %q (json|trace)", format), http.StatusBadRequest)
 	}
-}
-
-// Handler serves a tracer standalone (repro.TraceHandler):
-//
-//	/traces        JSON list of retained trace summaries, newest first
-//	/trace?id=N    one span tree (?format=json|trace)
-//
-// livemetrics.NewHandler mounts the same endpoints when its plane has
-// a tracer attached, which is the usual path; this standalone form is
-// for embedders running a tracer without the live plane.
-func Handler(t *Tracer) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		ServeTraces(w, t)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		ServeTrace(w, r, t)
-	})
-	return mux
 }

@@ -223,12 +223,19 @@ func TestAbandonStoresNothing(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{})
-	h := spantrace.Handler(tracer)
+	traces := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		spantrace.ServeTraces(rec, tracer)
+		return rec
+	}
+	trace := func(url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		spantrace.ServeTrace(rec, httptest.NewRequest("GET", url, nil), tracer)
+		return rec
+	}
 
 	// Empty tracer: /traces serves an empty JSON list, not null.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
-	if body := strings.TrimSpace(rec.Body.String()); body != "[]" {
+	if body := strings.TrimSpace(traces().Body.String()); body != "[]" {
 		t.Fatalf("empty trace list = %q, want []", body)
 	}
 
@@ -239,8 +246,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	a.Observe(phaseEnd(0, 10))
 	id := a.End("ok").TraceID
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/traces", nil))
+	rec := traces()
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("trace list content type %q", ct)
+	}
 	var summaries []spantrace.TraceSummary
 	if err := json.Unmarshal(rec.Body.Bytes(), &summaries); err != nil || len(summaries) != 1 {
 		t.Fatalf("trace list: %v %v", err, rec.Body.String())
@@ -260,17 +269,17 @@ func TestHTTPEndpoints(t *testing.T) {
 		{"/trace?id=bogus", 400},
 		{"/trace", 400},
 	} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", tc.url, nil))
-		if rec.Code != tc.code {
+		if rec := trace(tc.url); rec.Code != tc.code {
 			t.Errorf("GET %s = %d, want %d", tc.url, rec.Code, tc.code)
 		}
 	}
 
-	// format=trace is readable by forensics.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?id="+jsonNum(id)+"&format=trace", nil))
-	if _, err := telemetry.ReadTrace(rec.Body); err != nil {
+	// format=json is the span tree; format=trace is readable by forensics.
+	var tree spantrace.Trace
+	if err := json.Unmarshal(trace("/trace?id="+jsonNum(id)).Body.Bytes(), &tree); err != nil || tree.TraceID != id {
+		t.Fatalf("format=json span tree: id %d, %v", tree.TraceID, err)
+	}
+	if _, err := telemetry.ReadTrace(trace("/trace?id=" + jsonNum(id) + "&format=trace").Body); err != nil {
 		t.Fatalf("format=trace unreadable by forensics: %v", err)
 	}
 }

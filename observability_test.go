@@ -74,7 +74,7 @@ func TestObservabilityOneShot(t *testing.T) {
 // TestTracingExecutor wires a tracer and a plane to a persistent
 // executor via the public API and follows the triage loop end to end:
 // every submission yields a span tree, the plane's exemplars carry the
-// trace IDs, and TraceHandler serves the trees over HTTP.
+// trace IDs, and ObservabilityHandler serves the trees over HTTP.
 func TestTracingExecutor(t *testing.T) {
 	plane := repro.NewObservability(repro.ObservabilityOptions{})
 	defer plane.Close()
@@ -118,8 +118,9 @@ func TestTracingExecutor(t *testing.T) {
 		}
 	}
 
-	// TraceHandler serves both endpoints from the public wrapper.
-	srv := httptest.NewServer(repro.TraceHandler(tracer))
+	// The plane's handler serves both trace endpoints once the executor
+	// has attached the tracer to it.
+	srv := httptest.NewServer(repro.ObservabilityHandler(plane, "traced"))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/traces")
 	if err != nil {

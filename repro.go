@@ -338,7 +338,7 @@ func ObservabilityHandler(p *Observability, label string) http.Handler {
 // executed chunk and per steal, with parent/child and steals-from
 // causal links — retained in a bounded ring keyed by trace ID. Create
 // with NewTracing, attach with WithTracing, look up with Get/Traces or
-// serve with TraceHandler; tail-latency exemplars in an attached
+// serve through ObservabilityHandler's /traces and /trace; tail-latency exemplars in an attached
 // Observability plane carry these trace IDs, so a slow /metrics tail
 // resolves to the exact dispatch history that produced it
 // (`loopdoctor trace <id>`).
@@ -365,13 +365,6 @@ func NewTracing(opts TracingOptions) *Tracing { return spantrace.NewTracer(opts)
 func WithTracing(t *Tracing) Option {
 	return func(c *config) { c.tracer = t }
 }
-
-// TraceHandler serves a tracer over HTTP on its own: /traces (summary
-// list, newest first) and /trace?id= (?format=json for the span tree,
-// ?format=trace for a forensics-compatible telemetry file). The same
-// endpoints appear under ObservabilityHandler when the plane has a
-// tracer attached.
-func TraceHandler(t *Tracing) http.Handler { return spantrace.Handler(t) }
 
 // Server is the multi-tenant loop-scheduling service: serializable
 // JobSpecs against named kernels, admitted through per-tenant
