@@ -213,6 +213,65 @@ func TestTCModelBranchesMatchExecution(t *testing.T) {
 	}
 }
 
+// naiveTCBranches is the oracle for TClosure.branches: Warshall's
+// algorithm on a cloned [][]bool matrix, recording each phase's
+// column before the phase's row ORs.
+func naiveTCBranches(g *workload.Graph) [][]bool {
+	a := g.Clone().Adj
+	n := g.N
+	taken := make([][]bool, n)
+	for ph := 0; ph < n; ph++ {
+		col := make([]bool, n)
+		for j := 0; j < n; j++ {
+			col[j] = a[j][ph]
+		}
+		taken[ph] = col
+		for j := 0; j < n; j++ {
+			if col[j] {
+				for i := 0; i < n; i++ {
+					if a[ph][i] {
+						a[j][i] = true
+					}
+				}
+			}
+		}
+	}
+	return taken
+}
+
+// TestTCBranchesMatchNaiveWarshall: the bitset pass agrees with the
+// [][]bool oracle bit for bit, on clique and random inputs at sizes
+// around the 64-bit word boundary, and leaves Input unmodified.
+func TestTCBranchesMatchNaiveWarshall(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 200} {
+		inputs := map[string]*workload.Graph{
+			"clique40":  workload.CliqueGraph(n, n*2/5),
+			"cliqueAll": workload.CliqueGraph(n, n),
+			"sparse":    workload.RandomGraph(n, 1.5/float64(n), int64(n)),
+			"random8":   workload.RandomGraph(n, 0.08, int64(n)+1),
+		}
+		for name, g := range inputs {
+			before := g.Clone()
+			want := naiveTCBranches(g)
+			got, gotN := TClosure{Input: g}.branches()
+			if gotN != n || len(got) != n {
+				t.Fatalf("%s n=%d: got %d phases (n=%d)", name, n, len(got), gotN)
+			}
+			for ph := range want {
+				for j := range want[ph] {
+					if got[ph][j] != want[ph][j] {
+						t.Fatalf("%s n=%d phase %d row %d: bitset %v, naive %v",
+							name, n, ph, j, got[ph][j], want[ph][j])
+					}
+				}
+			}
+			if !g.Equal(before) {
+				t.Errorf("%s n=%d: branches modified Input", name, n)
+			}
+		}
+	}
+}
+
 func TestTCProgramCosts(t *testing.T) {
 	m := machine.Iris()
 	g := workload.CliqueGraph(32, 16)

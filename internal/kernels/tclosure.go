@@ -14,7 +14,7 @@ import (
 // rows. Iteration j always touches row j, so there is affinity to
 // exploit.
 type TClosure struct {
-	// Input is consumed (cloned) at model-build time.
+	// Input is read, never modified, at model-build time.
 	Input *workload.Graph
 	// InnerCycles is the per-element cost of the OR loop (default 8:
 	// load, test, store and index arithmetic on a 1992 RISC).
@@ -28,26 +28,36 @@ type TClosure struct {
 // The branch value is the phase-start value of A[j][k] (iteration j is
 // the only writer of row j within a phase, and reads A[j][k] before
 // writing), so the schedule cannot change it — which is what makes the
-// precomputation valid for any simulated execution order.
+// precomputation valid for any simulated execution order. The pass
+// runs on 64-bit row bitsets, so ORing row k into row j costs n/64 word
+// ORs; Input is only read.
 func (k TClosure) branches() ([][]bool, int) {
-	g := k.Input.Clone()
-	n := g.N
+	n := k.Input.N
+	words := (n + 63) / 64
+	rows := make([]uint64, n*words)
+	for j, adj := range k.Input.Adj {
+		row := rows[j*words : (j+1)*words]
+		for i, set := range adj {
+			if set {
+				row[i/64] |= 1 << uint(i%64)
+			}
+		}
+	}
+	flat := make([]bool, n*n)
 	taken := make([][]bool, n)
 	for ph := 0; ph < n; ph++ {
-		col := make([]bool, n)
-		for j := 0; j < n; j++ {
-			col[j] = g.Adj[j][ph]
-		}
+		col := flat[ph*n : (ph+1)*n : (ph+1)*n]
 		taken[ph] = col
-		rowK := g.Adj[ph]
+		w, bit := ph/64, uint64(1)<<uint(ph%64)
+		rowK := rows[ph*words : (ph+1)*words]
 		for j := 0; j < n; j++ {
-			if col[j] {
-				rowJ := g.Adj[j]
-				for i := 0; i < n; i++ {
-					if rowK[i] {
-						rowJ[i] = true
-					}
-				}
+			rowJ := rows[j*words : (j+1)*words]
+			if rowJ[w]&bit == 0 {
+				continue
+			}
+			col[j] = true
+			for x, v := range rowK {
+				rowJ[x] |= v
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache(1000)
+	c := newCache(1000)
 	if c.Touch(1, 400, nil) {
 		t.Error("first touch reported hit")
 	}
@@ -19,9 +19,9 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(1000)
-	var evicted []uint64
-	onEvict := func(id uint64) { evicted = append(evicted, id) }
+	c := newCache(1000)
+	var evicted []int32
+	onEvict := func(s int32) { evicted = append(evicted, s) }
 	c.Touch(1, 400, onEvict)
 	c.Touch(2, 400, onEvict)
 	c.Touch(1, 400, onEvict) // 1 becomes MRU
@@ -35,7 +35,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheOversizedFootprint(t *testing.T) {
-	c := NewCache(100)
+	c := newCache(100)
 	if c.Touch(1, 500, nil) {
 		t.Error("oversized footprint hit")
 	}
@@ -45,7 +45,7 @@ func TestCacheOversizedFootprint(t *testing.T) {
 }
 
 func TestCacheZeroCapacity(t *testing.T) {
-	c := NewCache(0)
+	c := newCache(0)
 	for i := 0; i < 3; i++ {
 		if c.Touch(7, 64, nil) {
 			t.Error("zero-capacity cache produced a hit")
@@ -54,7 +54,7 @@ func TestCacheZeroCapacity(t *testing.T) {
 }
 
 func TestCacheGrowingFootprint(t *testing.T) {
-	c := NewCache(1000)
+	c := newCache(1000)
 	c.Touch(1, 100, nil)
 	if !c.Touch(1, 600, nil) {
 		t.Error("growth should still be a hit")
@@ -70,7 +70,7 @@ func TestCacheGrowingFootprint(t *testing.T) {
 }
 
 func TestCacheGrowthEvictsOthers(t *testing.T) {
-	c := NewCache(1000)
+	c := newCache(1000)
 	c.Touch(1, 400, nil)
 	c.Touch(2, 400, nil)
 	c.Touch(2, 900, nil) // growth forces 1 out
@@ -83,7 +83,7 @@ func TestCacheGrowthEvictsOthers(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(1000)
+	c := newCache(1000)
 	c.Touch(1, 300, nil)
 	c.Invalidate(1)
 	if c.Contains(1) || c.Used() != 0 {
@@ -102,9 +102,9 @@ func TestCacheInvalidate(t *testing.T) {
 func TestCacheCapacityInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const cap = 2048
-		c := NewCache(cap)
+		c := newCache(cap)
 		for _, op := range ops {
-			id := uint64(op % 37)
+			id := int32(op % 37)
 			size := int(op%7)*100 + 50
 			switch op % 3 {
 			case 0, 1:
@@ -123,33 +123,172 @@ func TestCacheCapacityInvariant(t *testing.T) {
 	}
 }
 
-// TestCacheListMapConsistency: every map entry is reachable by walking
-// the LRU list and vice versa.
+// TestCacheListMapConsistency: walking the slot-linked LRU list from
+// the head visits exactly the resident entries, with consistent back
+// links, and their bytes sum to Used.
 func TestCacheListMapConsistency(t *testing.T) {
-	c := NewCache(10000)
+	c := newCache(10000)
 	for i := 0; i < 50; i++ {
-		c.Touch(uint64(i%13), (i%5)*100+100, nil)
+		c.Touch(int32(i%13), (i%5)*100+100, nil)
 		if i%7 == 0 {
-			c.Invalidate(uint64(i % 13))
+			c.Invalidate(int32(i % 13))
 		}
 		n := 0
 		bytes := 0
-		for e := c.head; e != nil; e = e.next {
+		prev := nilSlot
+		for s := c.head; s != nilSlot; s = c.entries[s].next {
+			e := c.entries[s]
+			if !e.resident {
+				t.Fatalf("list node %d is not resident", s)
+			}
+			if e.prev != prev {
+				t.Fatalf("list node %d: prev=%d, want %d", s, e.prev, prev)
+			}
 			n++
 			bytes += e.bytes
-			if got, ok := c.entries[e.id]; !ok || got != e {
-				t.Fatalf("list node %d not in map", e.id)
+			prev = s
+		}
+		if prev != c.tail {
+			t.Fatalf("list ends at %d, tail is %d", prev, c.tail)
+		}
+		resident := 0
+		for _, e := range c.entries {
+			if e.resident {
+				resident++
 			}
 		}
-		if n != c.Len() || bytes != c.Used() {
-			t.Fatalf("list/map mismatch: list n=%d bytes=%d, map len=%d used=%d",
-				n, bytes, c.Len(), c.Used())
+		if n != resident || n != c.Len() || bytes != c.Used() {
+			t.Fatalf("list/entries mismatch: list n=%d bytes=%d, resident=%d len=%d used=%d",
+				n, bytes, resident, c.Len(), c.Used())
 		}
 	}
 }
 
+// refLRU is the reference model for the slot cache: a plain slice of
+// resident footprints, most recently used first.
+type refLRU struct {
+	capacity, used int
+	lru            []refEntry
+}
+
+type refEntry struct {
+	slot  int32
+	bytes int
+}
+
+func (r *refLRU) find(s int32) int {
+	for i, e := range r.lru {
+		if e.slot == s {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refLRU) touch(s int32, bytes int, onEvict func(int32)) bool {
+	if i := r.find(s); i >= 0 {
+		if bytes > r.lru[i].bytes {
+			r.used += bytes - r.lru[i].bytes
+			r.lru[i].bytes = bytes
+			r.evictOver(s, onEvict)
+		}
+		i = r.find(s)
+		e := r.lru[i]
+		r.lru = append(r.lru[:i], r.lru[i+1:]...)
+		r.lru = append([]refEntry{e}, r.lru...)
+		return true
+	}
+	if bytes > r.capacity {
+		return false
+	}
+	r.lru = append([]refEntry{{s, bytes}}, r.lru...)
+	r.used += bytes
+	r.evictOver(s, onEvict)
+	return false
+}
+
+// evictOver drops the least recently used footprint other than keep
+// until the bytes fit.
+func (r *refLRU) evictOver(keep int32, onEvict func(int32)) {
+	for r.used > r.capacity {
+		v := len(r.lru) - 1
+		for v >= 0 && r.lru[v].slot == keep {
+			v--
+		}
+		if v < 0 {
+			return
+		}
+		r.used -= r.lru[v].bytes
+		s := r.lru[v].slot
+		r.lru = append(r.lru[:v], r.lru[v+1:]...)
+		onEvict(s)
+	}
+}
+
+func (r *refLRU) invalidate(s int32) {
+	if i := r.find(s); i >= 0 {
+		r.used -= r.lru[i].bytes
+		r.lru = append(r.lru[:i], r.lru[i+1:]...)
+	}
+}
+
+// TestCacheMatchesReferenceLRU drives the slot cache and the reference
+// model with the same random Touch (including growth), Invalidate and
+// Clear sequences and requires identical hits, eviction order,
+// residency, Used and Len after every operation.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	f := func(ops []uint32) bool {
+		const capacity = 1024
+		c := newCache(capacity)
+		r := &refLRU{capacity: capacity}
+		var gotEv, wantEv []int32
+		for _, op := range ops {
+			s := int32(op>>8) % 24
+			size := int(op>>16)%12*100 + 50 // up to 1150: growth and oversize
+			switch op % 16 {
+			case 0, 1, 2:
+				c.Invalidate(s)
+				r.invalidate(s)
+			case 3:
+				c.Clear()
+				r.lru, r.used = nil, 0
+			default:
+				gotEv, wantEv = gotEv[:0], wantEv[:0]
+				hit := c.Touch(s, size, func(v int32) { gotEv = append(gotEv, v) })
+				want := r.touch(s, size, func(v int32) { wantEv = append(wantEv, v) })
+				if hit != want || len(gotEv) != len(wantEv) {
+					return false
+				}
+				for i := range gotEv {
+					if gotEv[i] != wantEv[i] {
+						return false
+					}
+				}
+			}
+			if c.Used() != r.used || c.Len() != len(r.lru) {
+				return false
+			}
+			// Same residency in the same LRU order.
+			i := 0
+			for v := c.head; v != nilSlot; v = c.entries[v].next {
+				if i >= len(r.lru) || r.lru[i].slot != v || r.lru[i].bytes != c.entries[v].bytes {
+					return false
+				}
+				i++
+			}
+			if i != len(r.lru) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDirectory(t *testing.T) {
-	d := newDirectory()
+	var d directory
 	d.addHolder(1, 0)
 	d.addHolder(1, 5)
 	if d.holdersOf(1) != (1 | 1<<5) {
@@ -165,6 +304,10 @@ func TestDirectory(t *testing.T) {
 	}
 	if d.holdersOf(99) != 0 {
 		t.Error("unknown footprint has holders")
+	}
+	d.reset()
+	if d.holdersOf(1) != 0 {
+		t.Error("reset kept holders")
 	}
 }
 

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/machine"
@@ -98,21 +97,56 @@ type event struct {
 	proc int
 }
 
+// eventHeap is a binary min-heap of events ordered by (time, seq).
+// Sequence numbers are unique, so the order is strict and total: the
+// pop sequence is fixed by the pushed events alone, whatever the heap's
+// internal layout.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h eventHeap) peek() event   { return h[0] }
+
 func (h *eventHeap) push(t float64, seq int64, p int) {
-	heap.Push(h, event{t, seq, p})
+	*h = append(*h, event{t, seq, p})
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event. The heap must be
+// non-empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s
+	return top
 }
 
 // procState is one processor's execution state within a step.
@@ -141,9 +175,20 @@ type engine struct {
 	spec sched.Spec
 	prog Program
 
-	caches []*Cache
-	dir    *directory
+	caches []*cache
+	dir    directory
 	bus    Resource
+	// slots interns footprint IDs to the dense slots that index the
+	// caches and the directory.
+	slots map[uint64]int32
+
+	// cur is the processor whose iteration is executing, read by visit
+	// and onEvict: the touch handler and the evict callback are bound
+	// once, as method values, so passing them per iteration allocates
+	// nothing.
+	cur     int
+	visit   func(Touch)
+	onEvict func(s int32)
 
 	state []procState
 	heap  eventHeap
@@ -185,15 +230,17 @@ type engine struct {
 
 func newEngine(m *machine.Machine, p int, spec sched.Spec, prog Program) *engine {
 	e := &engine{
-		m:    m,
-		p:    p,
-		spec: spec,
-		prog: prog,
-		dir:  newDirectory(),
+		m:     m,
+		p:     p,
+		spec:  spec,
+		prog:  prog,
+		slots: make(map[uint64]int32),
 	}
-	e.caches = make([]*Cache, p)
+	e.visit = e.touch
+	e.onEvict = e.evict
+	e.caches = make([]*cache, p)
 	for i := range e.caches {
-		e.caches[i] = NewCache(m.CacheBytes)
+		e.caches[i] = newCache(m.CacheBytes)
 	}
 	e.state = make([]procState, p)
 	e.localOps = make([]int, p)
@@ -236,7 +283,7 @@ func (e *engine) run() {
 			for q := range e.caches {
 				e.caches[q].Clear()
 			}
-			e.dir = newDirectory()
+			e.dir.reset()
 			if e.obs != nil {
 				t := e.minClock()
 				e.obs.Observe(telemetry.Record{Kind: telemetry.KindCacheFlush,
@@ -309,10 +356,8 @@ func (e *engine) runStep() {
 		e.seq++
 		e.heap.push(e.state[p].clock, e.seq, p)
 	}
-	heap.Init(&e.heap)
-	for e.heap.Len() > 0 {
-		ev := heap.Pop(&e.heap).(event)
-		p := ev.proc
+	for len(e.heap) > 0 {
+		p := e.heap.pop().proc
 		st := &e.state[p]
 		if st.done {
 			continue
@@ -369,48 +414,13 @@ func (e *engine) runStep() {
 // the processor's clock by memory-system costs and compute cost.
 func (e *engine) execIteration(p int, st *procState) {
 	i := st.idx
-	cache := e.caches[p]
 	if e.loop.Touches != nil {
-		e.loop.Touches(i, func(t Touch) {
-			hit := cache.Touch(t.ID, t.Bytes, func(ev uint64) { e.dir.dropHolder(ev, p) })
-			if hit {
-				e.hits++
-			} else {
-				e.misses++
-				st.chunkMisses++
-				e.bytesMoved += int64(t.Bytes)
-				if bc := e.m.BusCycles(t.Bytes); bc > 0 {
-					start, _ := e.bus.Acquire(st.clock, bc)
-					e.busWait += start - st.clock
-					st.chunkBus += start - st.clock
-					st.chunkCache += e.m.TransferCycles(t.Bytes)
-					st.clock = start + e.m.TransferCycles(t.Bytes)
-				} else {
-					st.chunkCache += e.m.TransferCycles(t.Bytes)
-					st.clock += e.m.TransferCycles(t.Bytes)
-				}
-				if cache.Contains(t.ID) {
-					e.dir.addHolder(t.ID, p)
-				}
-			}
-			if t.Write {
-				others := e.dir.holdersOf(t.ID) &^ (1 << uint(p))
-				for q := 0; others != 0; q++ {
-					if others&(1<<uint(q)) != 0 {
-						e.caches[q].Invalidate(t.ID)
-						others &^= 1 << uint(q)
-					}
-				}
-				if cache.Contains(t.ID) {
-					e.dir.setExclusive(t.ID, p)
-				} else {
-					e.dir.holders[t.ID] = 0
-				}
-			}
-		})
+		e.cur = p
+		e.loop.Touches(i, e.visit)
 	}
-	st.clock += e.loop.Cost(i)
-	st.chunkCompute += e.loop.Cost(i)
+	cost := e.loop.Cost(i)
+	st.clock += cost
+	st.chunkCompute += cost
 	e.recordExec(i, p)
 	st.idx++
 	if st.idx >= st.chunk.Hi {
@@ -419,6 +429,59 @@ func (e *engine) execIteration(p int, st *procState) {
 		e.traceExec(p, st)
 	}
 }
+
+// touch charges one footprint reference of the executing iteration
+// (processor e.cur) to the memory system: a hit is free, a miss loads
+// the footprint over the interconnect, and a write invalidates every
+// other cached copy.
+func (e *engine) touch(t Touch) {
+	p := e.cur
+	st := &e.state[p]
+	s, ok := e.slots[t.ID]
+	if !ok {
+		s = int32(len(e.slots))
+		e.slots[t.ID] = s
+	}
+	cache := e.caches[p]
+	if cache.Touch(s, t.Bytes, e.onEvict) {
+		e.hits++
+	} else {
+		e.misses++
+		st.chunkMisses++
+		e.bytesMoved += int64(t.Bytes)
+		if bc := e.m.BusCycles(t.Bytes); bc > 0 {
+			start, _ := e.bus.Acquire(st.clock, bc)
+			e.busWait += start - st.clock
+			st.chunkBus += start - st.clock
+			st.chunkCache += e.m.TransferCycles(t.Bytes)
+			st.clock = start + e.m.TransferCycles(t.Bytes)
+		} else {
+			st.chunkCache += e.m.TransferCycles(t.Bytes)
+			st.clock += e.m.TransferCycles(t.Bytes)
+		}
+		if cache.Contains(s) {
+			e.dir.addHolder(s, p)
+		}
+	}
+	if t.Write {
+		others := e.dir.holdersOf(s) &^ (1 << uint(p))
+		for q := 0; others != 0; q++ {
+			if others&(1<<uint(q)) != 0 {
+				e.caches[q].Invalidate(s)
+				others &^= 1 << uint(q)
+			}
+		}
+		if cache.Contains(s) {
+			e.dir.setExclusive(s, p)
+		} else {
+			e.dir.set(s, 0)
+		}
+	}
+}
+
+// evict drops the executing processor from an evicted footprint's
+// holders.
+func (e *engine) evict(s int32) { e.dir.dropHolder(s, e.cur) }
 
 // traceExec reports a finished chunk, with its cost decomposition, as
 // one exec record.

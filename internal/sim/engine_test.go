@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 	"testing/quick"
@@ -885,5 +886,53 @@ func TestProcBusyMetrics(t *testing.T) {
 	}
 	if (Metrics{}).BusyImbalance() != 0 {
 		t.Error("zero metrics imbalance")
+	}
+}
+
+// refEventHeap adapts eventHeap to container/heap, the reference the
+// typed heap must agree with.
+type refEventHeap []event
+
+func (h refEventHeap) Len() int           { return len(h) }
+func (h refEventHeap) Less(i, j int) bool { return eventHeap(h).less(i, j) }
+func (h refEventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refEventHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *refEventHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestEventHeapMatchesContainerHeap: under random interleavings of
+// pushes (times drawn from four values, so most compare equal and the
+// sequence number decides) and pops, the typed heap pops exactly the
+// events container/heap pops.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	f := func(ops []uint16) bool {
+		var h eventHeap
+		var ref refEventHeap
+		var seq int64
+		for _, op := range ops {
+			if op%3 == 0 && len(h) > 0 {
+				if h.pop() != heap.Pop(&ref).(event) {
+					return false
+				}
+				continue
+			}
+			seq++
+			tm, p := float64(op>>2%4), int(op>>4)
+			h.push(tm, seq, p)
+			heap.Push(&ref, event{tm, seq, p})
+		}
+		for len(h) > 0 {
+			if ref.Len() == 0 || h.pop() != heap.Pop(&ref).(event) {
+				return false
+			}
+		}
+		return ref.Len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
