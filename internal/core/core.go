@@ -414,6 +414,9 @@ type afsDispatch struct {
 	minChunk int
 	queues   []afsQueue
 	rngs     []workerRNG
+	// lens[w] is worker w's victim-scan buffer. Only worker w calls
+	// fetch(r, w), so it needs no lock.
+	lens [][]int
 }
 
 // grained raises an amount to the configured chunk floor.
@@ -447,9 +450,11 @@ type afsQueue struct {
 }
 
 func newAFSDispatch(p int, a sched.AFS, victim sched.VictimPolicy) *afsDispatch {
-	d := &afsDispatch{afs: a, victim: victim, queues: make([]afsQueue, p), rngs: make([]workerRNG, p)}
+	d := &afsDispatch{afs: a, victim: victim, queues: make([]afsQueue, p), rngs: make([]workerRNG, p),
+		lens: make([][]int, p)}
 	for w := range d.rngs {
 		d.rngs[w].state = uint64(w+1) * 0x9e3779b97f4a7c15
+		d.lens[w] = make([]int, p)
 	}
 	return d
 }
@@ -493,7 +498,7 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 		}
 		// Steal: 1/P of a victim chosen without locks from the
 		// atomically-published lengths.
-		lens := make([]int, len(d.queues))
+		lens := d.lens[w]
 		empty := true
 		for i := range d.queues {
 			lens[i] = int(d.queues[i].len.Load())

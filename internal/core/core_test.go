@@ -200,6 +200,29 @@ func TestAFSStealRebalances(t *testing.T) {
 	}
 }
 
+// TestAFSStealPathAllocFree pins the AFS steal path (victim scan,
+// victim choice, TakeBack) at zero allocations for every victim
+// policy: an idle worker repeatedly steals from the one loaded queue.
+func TestAFSStealPathAllocFree(t *testing.T) {
+	const p = 8
+	for _, policy := range []sched.VictimPolicy{sched.VictimMostLoaded, sched.VictimRandom, sched.VictimPowerOfTwo} {
+		d := newAFSDispatch(p, sched.AFS{}, policy)
+		r := &runner{p: p, stats: Stats{LocalOps: make([]int64, p), RemoteOps: make([]int64, p)}}
+		// 1/P of the remainder leaves per steal; 2^60 iterations
+		// outlast every run below.
+		d.queues[0].q.Push(sched.Chunk{Lo: 0, Hi: 1 << 60})
+		d.queues[0].len.Store(int64(d.queues[0].q.Len()))
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, fm, ok := d.fetch(r, 1); !ok || !fm.stolen || fm.owner != 0 {
+				t.Fatalf("%v: fetch = (%+v, %t), want a steal from queue 0", policy, fm, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: steal path allocates %.1f times per fetch, want 0", policy, allocs)
+		}
+	}
+}
+
 // TestBestStaticUsesCostHint: with an oracle, BEST-STATIC gives the
 // expensive region a smaller share.
 func TestBestStaticUsesCostHint(t *testing.T) {

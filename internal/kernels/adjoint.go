@@ -75,9 +75,29 @@ func (d *AdjointData) Body(idx int) {
 	if d.Reverse {
 		i = nn - 1 - idx
 	}
+	// Bounds-check-free form of s += X·B[k]·C[k-i] for k = i..nn-1:
+	// four products per trip, added to the one accumulator in index
+	// order, so the sum is bit-identical to the naive loop.
+	x := d.X
+	b := d.B[i:nn]
+	c := d.C[:len(b)]
 	s := 0.0
-	for k := i; k < nn; k++ {
-		s += d.X * d.B[k] * d.C[k-i]
+	// len(c) == len(b) throughout; testing both lets the compiler
+	// drop the checks on c as well as b.
+	for len(b) >= 4 && len(c) >= 4 {
+		p0 := x * b[0] * c[0]
+		p1 := x * b[1] * c[1]
+		p2 := x * b[2] * c[2]
+		p3 := x * b[3] * c[3]
+		s += p0
+		s += p1
+		s += p2
+		s += p3
+		b, c = b[4:], c[4:]
+	}
+	c = c[:len(b)]
+	for k, v := range b {
+		s += x * v * c[k]
 	}
 	d.A[i] = s
 }

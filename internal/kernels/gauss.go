@@ -84,12 +84,14 @@ func (g *GaussMatrix) PhaseIterations(ph int) int { return g.N - 1 - ph }
 // EliminateRow is the parallel-loop body: in phase ph, iteration i
 // (local index) eliminates column ph from row ph+1+i using pivot row ph.
 func (g *GaussMatrix) EliminateRow(ph, i int) {
+	// Both rows resliced to columns ph..N: one length, so the loop
+	// carries no bounds checks.
 	n := g.N
-	pivot := g.A[ph]
-	row := g.A[ph+1+i]
-	f := row[ph] / pivot[ph]
-	for j := ph; j <= n; j++ {
-		row[j] -= f * pivot[j]
+	pivot := g.A[ph][ph : n+1]
+	row := g.A[ph+1+i][ph : n+1]
+	f := row[0] / pivot[0]
+	for j, v := range pivot {
+		row[j] -= f * v
 	}
 }
 

@@ -88,8 +88,12 @@ func (g *SORGrid) UpdateRow(j int) {
 	}
 	up, row, down, out := g.src[j-1], g.src[j], g.src[j+1], g.dst[j]
 	out[0], out[n-1] = row[0], row[n-1]
-	for c := 1; c < n-1; c++ {
-		out[c] = (up[c] + down[c] + row[c-1] + row[c+1]) / 4
+	// Interior cells c = 1..n-2, each operand resliced to the same
+	// length so the loop carries no bounds checks.
+	left, right := row[:n-2], row[2:n]
+	up, down, out = up[1:n-1], down[1:n-1], out[1:n-1]
+	for c, l := range left {
+		out[c] = (up[c] + down[c] + l + right[c]) / 4
 	}
 }
 

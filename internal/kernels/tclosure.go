@@ -136,11 +136,9 @@ func (t *TCGraph) UpdateRow(ph, j int) {
 		return
 	}
 	rowK := t.G.Adj[ph]
-	rowJ := t.G.Adj[j]
-	for i := range rowJ {
-		if rowK[i] {
-			rowJ[i] = true
-		}
+	rowJ := t.G.Adj[j][:len(rowK)]
+	for i, v := range rowK {
+		rowJ[i] = rowJ[i] || v
 	}
 }
 

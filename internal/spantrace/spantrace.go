@@ -16,8 +16,9 @@
 package spantrace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -400,13 +401,14 @@ func (a *Active) seal(outcome string) *Trace {
 		spans = append(spans, a.workers[w].spans...)
 	}
 	// Deterministic presentation order: by start time, span ID breaking
-	// ties (IDs themselves are schedule-deterministic).
-	sort.SliceStable(spans[1:], func(i, j int) bool {
-		x, y := spans[1+i], spans[1+j]
-		if x.Start != y.Start {
-			return x.Start < y.Start
+	// ties (IDs themselves are schedule-deterministic). IDs are unique
+	// within a trace, so the order is strict and total and an unstable
+	// sort yields the same sequence.
+	slices.SortFunc(spans[1:], func(x, y Span) int {
+		if c := cmp.Compare(x.Start, y.Start); c != 0 {
+			return c
 		}
-		return x.ID < y.ID
+		return cmp.Compare(x.ID, y.ID)
 	})
 	return &Trace{
 		TraceID:    a.id,

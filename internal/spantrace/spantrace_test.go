@@ -169,6 +169,43 @@ func TestKindJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpanIDsUniqueOrderTotal: span IDs are unique within a trace, so
+// the (Start, ID) presentation order is strict even when many spans
+// share a start time — the property that lets seal use an unstable
+// sort without changing its output.
+func TestSpanIDsUniqueOrderTotal(t *testing.T) {
+	tracer := spantrace.NewTracer(spantrace.Options{})
+	a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 3, Phases: 2})
+	for ph := 0; ph < 2; ph++ {
+		a.Observe(phaseBegin(ph, 60, 0))
+		for i := 0; i < 60; i++ {
+			kind := telemetry.KindExec
+			if i%5 == 0 {
+				kind = telemetry.KindSteal
+			}
+			// Every span of a phase starts at one of two instants.
+			a.Observe(telemetry.Record{Kind: kind, Step: ph, Proc: i % 3, Owner: (i + 1) % 3,
+				Lo: i, Hi: i + 1, Start: float64(i % 2), End: float64(i%2 + 1)})
+		}
+		a.Observe(phaseEnd(ph, 2))
+	}
+	for _, tr := range []*spantrace.Trace{a.End("ok"), liveTrace(t, 4, 3, 1024)} {
+		seen := make(map[uint64]bool, len(tr.Spans))
+		for _, s := range tr.Spans {
+			if seen[s.ID] {
+				t.Fatalf("trace %d: span ID %d appears twice", tr.TraceID, s.ID)
+			}
+			seen[s.ID] = true
+		}
+		for i := 2; i < len(tr.Spans); i++ {
+			x, y := tr.Spans[i-1], tr.Spans[i]
+			if x.Start > y.Start || (x.Start == y.Start && x.ID >= y.ID) {
+				t.Fatalf("trace %d: spans out of order at %d: %+v then %+v", tr.TraceID, i, x, y)
+			}
+		}
+	}
+}
+
 func TestSpanCapDrops(t *testing.T) {
 	tracer := spantrace.NewTracer(spantrace.Options{MaxSpans: 8})
 	a := tracer.StartSubmission(spantrace.SubmissionInfo{Procs: 2, Phases: 1})
