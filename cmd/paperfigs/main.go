@@ -139,7 +139,8 @@ func tracedSim(kernel, machName, algo string, procs, n, phases int, traceOut, me
 	}
 	stream := telemetry.NewStream()
 	reg := telemetry.NewRegistry()
-	res, err := sim.RunOpts(m, procs, specs[0], build(), sim.Options{Observer: telemetry.EventsOf(stream), Metrics: reg})
+	res, err := sim.RunOpts(m, procs, specs[0], build(), sim.Options{
+		Observer: telemetry.Observers(telemetry.EventsOf(stream), telemetry.MetricsOf(reg, true))})
 	if err != nil {
 		return err
 	}

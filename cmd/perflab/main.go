@@ -1,8 +1,7 @@
 // Command perflab is the continuous performance lab's CLI: it runs the
 // registered benchmark suite over both execution substrates, persists
 // versioned baselines as BENCH_<n>.json at the repo root, compares
-// baselines statistically, gates on regressions, and serves a live
-// dashboard.
+// baselines statistically, and gates on regressions.
 //
 //	perflab run                        # full suite → BENCH_<n>.json
 //	perflab run -short                 # CI-sized problems
@@ -11,8 +10,6 @@
 //	perflab compare -report out/       # + report.md and trend SVGs
 //	perflab gate                       # re-run gate cases vs latest
 //	                                   # baseline; exit 1 on regression
-//	perflab serve -live                # HTML dashboard + streaming run
-//	                                   # (localhost:8080; -addr to move)
 //
 // The gate set is simulator-only (deterministic cycle counts), so a
 // committed baseline gates identically on any host. The hidden
@@ -25,10 +22,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/perflab"
@@ -55,8 +50,6 @@ func main() {
 		err = cmdSLO(os.Args[2:])
 	case "shed":
 		err = cmdShed(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -90,7 +83,6 @@ func usage() {
            layer: a tenant at quota must keep its full fair share
            while a tenant at 4x quota has exactly its excess shed as
            typed 429s; exit 1 on any violation
-  serve    live HTML dashboard over the baseline history
 
 Run 'perflab <subcommand> -h' for flags.
 `)
@@ -468,44 +460,4 @@ func cmdShed(args []string) error {
 		return fmt.Errorf("perflab shed: %w", err)
 	}
 	return nil
-}
-
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("perflab serve", flag.ExitOnError)
-	sf := addSuiteFlags(fs, "both")
-	// localhost by default: the mux exposes /debug/pprof and
-	// /debug/vars unauthenticated, so binding all interfaces must be an
-	// explicit choice.
-	addr := fs.String("addr", "localhost:8080", "listen address")
-	live := fs.Bool("live", false, "execute the suite in the background, streaming results to the dashboard")
-	fs.Parse(args)
-	if _, err := cli.AddrFlag("-addr", *addr); err != nil {
-		return err
-	}
-
-	state := &perflab.LiveState{}
-	if *live {
-		cases, runner, err := sf.select_(false)
-		if err != nil {
-			return err
-		}
-		runner.Progress = state.Record
-		go func() {
-			state.Begin(len(cases))
-			results, err := runner.Run(cases)
-			if err == nil {
-				b := perflab.NewBaseline(*sf.dir, *sf.short, *sf.seed, results)
-				if _, werr := perflab.WriteNext(*sf.dir, b); werr != nil {
-					err = werr
-				}
-			}
-			state.Finish(err)
-		}()
-	}
-	url := *addr
-	if strings.HasPrefix(url, ":") {
-		url = "localhost" + url
-	}
-	fmt.Fprintf(os.Stderr, "perflab: dashboard on http://%s (live run: %v)\n", url, *live)
-	return http.ListenAndServe(*addr, perflab.NewServer(*sf.dir, state))
 }

@@ -45,7 +45,6 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the per-phase metrics time series as CSV")
 		check      = flag.Bool("check", false, "verify the event stream against the paper's invariants")
 		traceAlgo  = flag.String("trace-algo", "afs", "algorithm for the instrumented -trace-out/-metrics-out/-check run")
-		queueDepth = flag.Duration("queue-depths", 0, "sample per-queue backlog at this interval during the instrumented run (e.g. 200µs; 0 = off)")
 		pprofAddr  = flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address (e.g. :6060) during the sweep")
 	)
 	// Flag-parse errors must exit non-zero like every other error path:
@@ -124,8 +123,8 @@ func main() {
 		opsTab.Render(os.Stdout)
 	}
 
-	if *traceOut != "" || *metricsOut != "" || *check || *queueDepth > 0 {
-		if err := instrumentedRun(run, counts, *traceAlgo, desc, *traceOut, *metricsOut, *check, *queueDepth); err != nil {
+	if *traceOut != "" || *metricsOut != "" || *check {
+		if err := instrumentedRun(run, counts, *traceAlgo, desc, *traceOut, *metricsOut, *check); err != nil {
 			fatal(err)
 		}
 	}
@@ -135,11 +134,10 @@ func main() {
 // that issue one ParallelFor per sweep advance the step/time base
 // between calls so the combined stream reads as one phased execution.
 type telemetryOpts struct {
-	stream     *telemetry.SyncStream
-	reg        *telemetry.Registry
-	depthEvery time.Duration
-	stepOff    int
-	timeOff    float64
+	stream  *telemetry.SyncStream
+	reg     *telemetry.Registry
+	stepOff int
+	timeOff float64
 }
 
 // advance shifts the stream's base after one single-phase run.
@@ -153,21 +151,12 @@ func (topt *telemetryOpts) advance(phases int, elapsed time.Duration) {
 
 // instrumentedRun executes one extra run at the largest worker count
 // with full telemetry, then exports and/or verifies the stream.
-func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut string, check bool, depthEvery time.Duration) error {
+func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut string, check bool) error {
 	w := counts[len(counts)-1]
-	topt := &telemetryOpts{stream: telemetry.NewSyncStream(), reg: telemetry.NewRegistry(),
-		depthEvery: depthEvery}
+	topt := &telemetryOpts{stream: telemetry.NewSyncStream(), reg: telemetry.NewRegistry()}
 	expvar.Publish("telemetry_events", expvar.Func(func() any { return topt.stream.Len() }))
-	st, err := run(w, algo, topt)
-	if err != nil {
+	if _, err := run(w, algo, topt); err != nil {
 		return err
-	}
-	if depthEvery > 0 {
-		if len(st.QueueDepthSamples) == 0 {
-			fmt.Fprintf(os.Stderr, "queue-depths: no samples collected (run shorter than %v?)\n", depthEvery)
-		} else {
-			depthTable(st.QueueDepthSamples, algo, w).Render(os.Stdout)
-		}
 	}
 	events := topt.stream.Events()
 	if traceOut != "" {
@@ -225,47 +214,7 @@ func telemetryOptions(topt *telemetryOpts) []repro.Option {
 	if topt.stepOff != 0 || topt.timeOff != 0 {
 		sink = &telemetry.Rebase{Sink: topt.stream, StepOffset: topt.stepOff, TimeOffset: topt.timeOff}
 	}
-	opts := []repro.Option{repro.WithEvents(sink), repro.WithMetrics(topt.reg)}
-	if topt.depthEvery > 0 {
-		opts = append(opts, repro.WithQueueDepthSampling(topt.depthEvery))
-	}
-	return opts
-}
-
-// depthTable summarises per-queue backlog samples: how deep each work
-// queue ran over the instrumented run — the real runtime's view of the
-// imbalance AFS's stealing is meant to drain.
-func depthTable(samples []repro.QueueDepthSample, algo string, workers int) *stats.Table {
-	queues := 0
-	for _, s := range samples {
-		if len(s.Depths) > queues {
-			queues = len(s.Depths)
-		}
-	}
-	t := stats.NewTable(
-		fmt.Sprintf("queue depths (%s, %d workers, %d samples)", algo, workers, len(samples)),
-		"queue", "max", "mean", "nonempty")
-	for q := 0; q < queues; q++ {
-		max, sum, nonempty := 0, 0, 0
-		for _, s := range samples {
-			if q >= len(s.Depths) {
-				continue
-			}
-			d := s.Depths[q]
-			if d > max {
-				max = d
-			}
-			sum += d
-			if d > 0 {
-				nonempty++
-			}
-		}
-		t.AddRow(strconv.Itoa(q),
-			strconv.Itoa(max),
-			fmt.Sprintf("%.1f", float64(sum)/float64(len(samples))),
-			fmt.Sprintf("%d%%", 100*nonempty/len(samples)))
-	}
-	return t
+	return []repro.Option{repro.WithEvents(sink), repro.WithMetrics(topt.reg)}
 }
 
 // realKernel returns a runner executing the kernel's real form under a
@@ -376,7 +325,6 @@ func accumulate(total, st repro.RunStats) repro.RunStats {
 	total.Steals += st.Steals
 	total.MigratedIters += st.MigratedIters
 	total.Iterations += st.Iterations
-	total.QueueDepthSamples = append(total.QueueDepthSamples, st.QueueDepthSamples...)
 	for i := range st.LocalOps {
 		total.CentralOps += st.LocalOps[i] + st.RemoteOps[i]
 	}

@@ -50,20 +50,12 @@ type Config struct {
 	// central-queue wait, and every phase boundary, timestamped in
 	// nanoseconds since the run started. Chunk, steal and wait records
 	// are delivered inline from workers, so the observer MUST be safe
-	// for concurrent use and cheap. Event and provenance sinks adapt
-	// with telemetry.EventsOf and telemetry.ProvOf; several observers
-	// combine with telemetry.Observers. nil costs the hot path one
-	// pointer check per chunk.
+	// for concurrent use and cheap. Event and provenance sinks and
+	// metrics registries adapt with telemetry.EventsOf, ProvOf and
+	// MetricsOf; several observers combine with telemetry.Observers.
+	// nil costs the hot path one pointer check per chunk. Live queue
+	// depths are not a record: Engine.QueueDepths serves them.
 	Observer telemetry.Observer
-	// Metrics, when non-nil, accumulates counters and histograms
-	// (chunk sizes, steal latencies, central-queue waits) and receives
-	// a time-series snapshot at every phase barrier.
-	Metrics *telemetry.Registry
-	// QueueDepthEvery, when positive, samples every work queue's
-	// backlog at this interval into Stats.QueueDepthSamples — the real
-	// runtime's version of the simulator's per-queue imbalance signal.
-	// Supported by the AFS and central-queue dispatchers.
-	QueueDepthEvery time.Duration
 }
 
 func (c Config) procs() int {
@@ -91,20 +83,6 @@ type Stats struct {
 	// Phases executed and iterations executed in total.
 	Phases     int
 	Iterations int64
-	// QueueDepthSamples holds periodic per-queue backlog samples when
-	// Config.QueueDepthEvery was set: one row per tick, one column per
-	// queue (a single column for central-queue algorithms, counting
-	// remaining iterations).
-	QueueDepthSamples []QueueDepths
-}
-
-// QueueDepths is one timed sample of per-queue backlog.
-type QueueDepths struct {
-	// AtNS is the sample time in nanoseconds since the run started.
-	AtNS float64 `json:"at_ns"`
-	// Depths is the backlog per queue: queued iterations per worker
-	// queue (AFS), or one entry of remaining iterations (central).
-	Depths []int `json:"depths"`
 }
 
 // TotalSyncOps sums all successful queue-removal operations.
@@ -157,18 +135,13 @@ func Run(cfg Config, phases int, n func(ph int) int, body func(ph, i int)) (Stat
 // submission gets a fresh runner, so nothing here outlives or leaks
 // across submissions on a shared Engine.
 type runner struct {
-	cfg   Config
-	p     int
-	d     dispatcher
-	body  func(ph, i int)
-	stats Stats
-	t0    time.Time
-	obs   telemetry.Observer
-	rh    *coreHandles
-	// depths is the dispatcher's depth sampler while
-	// Config.QueueDepthEvery sampling is on, nil otherwise.
-	depths  depthSampler
-	depthMu sync.Mutex
+	cfg     Config
+	p       int
+	d       dispatcher
+	body    func(ph, i int)
+	stats   Stats
+	t0      time.Time
+	obs     telemetry.Observer
 	phaseNo atomic.Int64
 	phaseWG sync.WaitGroup
 	aborted atomic.Bool
@@ -227,9 +200,6 @@ func (r *runner) work(w, ph int) {
 		if !ok {
 			return
 		}
-		if r.rh != nil {
-			r.rh.chunkSize.Observe(float64(c.Len()))
-		}
 		if r.obs != nil {
 			start := r.nowNS()
 			for i := c.Lo; i < c.Hi; i++ {
@@ -250,50 +220,10 @@ func (r *runner) work(w, ph int) {
 }
 
 // depthSampler is implemented by dispatchers that can report their
-// queues' backlog concurrently with execution.
+// queues' backlog concurrently with execution; Engine.QueueDepths
+// reads it.
 type depthSampler interface {
 	depths() []int
-}
-
-// startDepthSampler launches the periodic queue-depth sampler when
-// configured and supported, returning a stop function that waits for
-// the sampler goroutine to finish (so Stats reads race-free). Ticks
-// alone cannot promise a sample — a short run may end before the
-// first one fires — so Execute also samples every phase once its
-// queues are filled (sampleDepths).
-func (r *runner) startDepthSampler() func() {
-	ds, ok := r.d.(depthSampler)
-	if !ok || r.cfg.QueueDepthEvery <= 0 {
-		return func() {}
-	}
-	r.depths = ds
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(r.cfg.QueueDepthEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.sampleDepths()
-			}
-		}
-	}()
-	return func() { close(stop); <-done }
-}
-
-// sampleDepths appends one queue-depth sample when sampling is on.
-func (r *runner) sampleDepths() {
-	if r.depths == nil {
-		return
-	}
-	sample := QueueDepths{AtNS: r.nowNS(), Depths: r.depths.depths()}
-	r.depthMu.Lock()
-	r.stats.QueueDepthSamples = append(r.stats.QueueDepthSamples, sample)
-	r.depthMu.Unlock()
 }
 
 // A dispatcher hands out chunks to workers for the current phase.
@@ -319,8 +249,8 @@ type centralDispatch struct {
 }
 
 func (d *centralDispatch) initPhase(r *runner, ph, n int) {
-	// Under the lock: the queue-depth sampler may read d.disp
-	// concurrently with the phase transition.
+	// Under the lock: Engine.QueueDepths may read d.disp concurrently
+	// with the phase transition.
 	d.mu.Lock()
 	d.disp = sched.NewDispenser(d.sizer, n, r.p)
 	d.mu.Unlock()
@@ -340,13 +270,12 @@ func (d *centralDispatch) depths() []int {
 func (d *centralDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 	fm := fetchMeta{owner: -1}
 	atomic.AddInt64(&d.waiters, 1)
-	instrumented := r.obs != nil || r.rh != nil
 	var lockStart float64
-	if instrumented {
+	if r.obs != nil {
 		lockStart = r.nowNS()
 	}
 	d.mu.Lock()
-	if instrumented {
+	if r.obs != nil {
 		fm.wait = r.nowNS() - lockStart
 	}
 	waiting := atomic.AddInt64(&d.waiters, -1)
@@ -355,9 +284,6 @@ func (d *centralDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool)
 	}
 	c, ok := d.disp.Next()
 	d.mu.Unlock()
-	if r.rh != nil {
-		r.rh.queueWait.Observe(fm.wait)
-	}
 	// Only contended acquisitions (>1µs) are worth a record; an
 	// uncontended mutex would drown the stream in noise.
 	if r.obs != nil && fm.wait > 1e3 {
@@ -514,9 +440,8 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 			return sched.Chunk{}, fetchMeta{}, false
 		}
 		vq := &d.queues[victim]
-		instrumented := r.obs != nil || r.rh != nil
 		var stealStart float64
-		if instrumented {
+		if r.obs != nil {
 			stealStart = r.nowNS()
 		}
 		vq.mu.Lock()
@@ -533,17 +458,12 @@ func (d *afsDispatch) fetch(r *runner, w int) (sched.Chunk, fetchMeta, bool) {
 		atomic.AddInt64(&r.stats.Steals, 1)
 		atomic.AddInt64(&r.stats.MigratedIters, int64(c.Len()))
 		fm := fetchMeta{owner: victim, stolen: true}
-		if instrumented {
+		if r.obs != nil {
 			end := r.nowNS()
 			fm.wait = end - stealStart
-			if r.rh != nil {
-				r.rh.stealLatency.Observe(fm.wait)
-			}
-			if r.obs != nil {
-				r.obs.Observe(telemetry.Record{Kind: telemetry.KindSteal,
-					Step: r.phase(), Proc: w, Owner: victim, Stolen: true,
-					Lo: c.Lo, Hi: c.Hi, Start: stealStart, End: end})
-			}
+			r.obs.Observe(telemetry.Record{Kind: telemetry.KindSteal,
+				Step: r.phase(), Proc: w, Owner: victim, Stolen: true,
+				Lo: c.Lo, Hi: c.Hi, Start: stealStart, End: end})
 		}
 		return c, fm, true
 	}

@@ -163,6 +163,12 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 	if phases < 0 {
 		return Result{}, fmt.Errorf("core: negative phase count %d", phases)
 	}
+	if cfg.Spec.LastExecuted {
+		// AFS-LE reassigns ownership by which worker last ran each
+		// iteration, and body(ph, i) carries no identity that survives
+		// across phases the way the simulator's global iteration ID does.
+		return Result{}, fmt.Errorf("core: %s is simulator-only: the real engine cannot track last-executed ownership", cfg.Spec.Name)
+	}
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -195,9 +201,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 	r := &runner{cfg: cfg, p: p, d: d, body: body, obs: cfg.Observer}
 	r.stats.LocalOps = make([]int64, p)
 	r.stats.RemoteOps = make([]int64, p)
-	if cfg.Metrics != nil {
-		r.rh = newCoreHandles(cfg.Metrics)
-	}
 	if len(cfg.StartDelay) > 0 {
 		r.delayPending = make([]bool, p)
 		for w := range r.delayPending {
@@ -216,7 +219,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 			r.aborted.Store(true)
 		})
 	}
-	stopSampler := r.startDepthSampler()
 	completed := 0
 	for ph := 0; ph < phases; ph++ {
 		nn := n(ph)
@@ -225,7 +227,6 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 		}
 		r.phaseNo.Store(int64(ph))
 		d.initPhase(r, ph, nn)
-		r.sampleDepths()
 		if r.obs != nil {
 			t := r.nowNS()
 			r.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseBegin,
@@ -243,15 +244,11 @@ func (e *Engine) Execute(cfg Config, phases int, n func(ph int) int, body func(p
 			r.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseEnd,
 				Step: ph, Proc: -1, Owner: -1, Start: t, End: t})
 		}
-		if r.rh != nil {
-			r.snapshotPhase(ph)
-		}
 		if r.aborted.Load() {
 			break
 		}
 		completed++
 	}
-	stopSampler()
 	if stopWatch != nil {
 		stopWatch()
 	}

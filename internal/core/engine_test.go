@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -245,5 +246,51 @@ func TestPanicDoesNotPoisonEngine(t *testing.T) {
 	}
 	if count != 1000 {
 		t.Errorf("post-panic submission executed %d, want 1000", count)
+	}
+}
+
+// TestEngineQueueDepths: Engine.QueueDepths, the one live queue-depth
+// source, reports the backlog a one-worker engine leaves behind at
+// each iteration, and the drained state once the submission returns.
+func TestEngineQueueDepths(t *testing.T) {
+	e, err := NewEngine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const n = 64
+	cases := []struct {
+		algo string
+		// want is the backlog iteration i sees; nil means unchecked.
+		want func(i int) []int
+	}{
+		// SS hands out one iteration at a time from the central queue.
+		{"ss", func(i int) []int { return []int{n - i - 1} }},
+		// AFS's first local take removes 1/k of the 64 queued.
+		{"afs(k=4)", func(i int) []int {
+			if i < 16 {
+				return []int{48}
+			}
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		spec, err := sched.ByName(c.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([][]int, n)
+		if _, err := e.Execute(Config{Spec: spec}, 1, func(int) int { return n },
+			func(_, i int) { seen[i] = e.QueueDepths() }); err != nil {
+			t.Fatalf("%s: %v", c.algo, err)
+		}
+		for i, got := range seen {
+			if want := c.want(i); want != nil && !slices.Equal(got, want) {
+				t.Errorf("%s: iteration %d sees depths %v, want %v", c.algo, i, got, want)
+			}
+		}
+		if got := e.QueueDepths(); !slices.Equal(got, []int{0}) {
+			t.Errorf("%s: depths after Execute = %v, want [0]", c.algo, got)
+		}
 	}
 }

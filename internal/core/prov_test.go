@@ -3,14 +3,13 @@ package core
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
-// slowBody burns enough time per iteration that steals and queue-depth
-// samples actually happen at small worker counts.
+// slowBody burns enough time per iteration that steals actually
+// happen at small worker counts.
 func slowBody(ph, i int) {
 	x := 1.0
 	for k := 0; k < 2000; k++ {
@@ -85,59 +84,6 @@ func TestProvenanceStolenMatchesStealCount(t *testing.T) {
 	}
 	if int64(stolen) != st.Steals {
 		t.Errorf("stolen provenance records = %d, Stats.Steals = %d", stolen, st.Steals)
-	}
-}
-
-func TestQueueDepthSampling(t *testing.T) {
-	const phases = 4
-	for _, name := range []string{"afs", "gss"} {
-		spec, _ := sched.ByName(name)
-		st, err := Run(Config{Procs: 4, Spec: spec, QueueDepthEvery: 200 * time.Microsecond},
-			phases, func(int) int { return 256 }, slowBody)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Every phase is sampled once its queues are filled, however
-		// short the run is relative to the tick.
-		if len(st.QueueDepthSamples) < phases {
-			t.Fatalf("%s: %d queue-depth samples, want at least %d (one per phase)",
-				name, len(st.QueueDepthSamples), phases)
-		}
-		wantCols := 4
-		if name == "gss" {
-			wantCols = 1 // central dispenser: one backlog column
-		}
-		for _, s := range st.QueueDepthSamples {
-			if len(s.Depths) != wantCols {
-				t.Fatalf("%s: sample has %d columns, want %d", name, len(s.Depths), wantCols)
-			}
-			for q, d := range s.Depths {
-				if d < 0 {
-					t.Errorf("%s: negative depth %d on queue %d", name, d, q)
-				}
-			}
-		}
-
-		// With a tick that never fires, the per-phase samples are all
-		// there is: exactly one per phase, taken before any worker
-		// starts, so each sees the whole phase still queued.
-		st, err = Run(Config{Procs: 4, Spec: spec, QueueDepthEvery: time.Hour},
-			phases, func(int) int { return 256 }, func(int, int) {})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(st.QueueDepthSamples) != phases {
-			t.Fatalf("%s: %d samples without ticks, want %d", name, len(st.QueueDepthSamples), phases)
-		}
-		for ph, s := range st.QueueDepthSamples {
-			total := 0
-			for _, d := range s.Depths {
-				total += d
-			}
-			if total != 256 {
-				t.Errorf("%s: phase %d start sample holds %d iterations, want 256", name, ph, total)
-			}
-		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package core
 
 // Race-sensitive telemetry tests for the real goroutine runtime: CI
-// runs these under -race, so concurrent event emission and registry
-// updates from live workers are exercised for real.
+// runs these under -race, so concurrent event emission and metrics
+// reader updates from live workers are exercised for real.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -30,16 +31,18 @@ func imbalancedBody(ph, i int) {
 
 // TestRealRuntimeTelemetryCheck: the real runtime's event stream
 // passes the paper's invariants for central-queue, AFS and
-// mod-factoring families, and the stream agrees with Stats.
+// mod-factoring families, and the stream and the metrics reader agree
+// with Stats.
 func TestRealRuntimeTelemetryCheck(t *testing.T) {
-	for _, name := range []string{"ss", "gss", "static", "afs", "afs-le", "mod-factoring"} {
+	for _, name := range []string{"ss", "gss", "static", "afs", "mod-factoring"} {
 		spec, err := sched.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stream := telemetry.NewSyncStream()
 		reg := telemetry.NewRegistry()
-		cfg := Config{Procs: 4, Spec: spec, Observer: telemetry.EventsOf(stream), Metrics: reg}
+		cfg := Config{Procs: 4, Spec: spec,
+			Observer: telemetry.Observers(telemetry.EventsOf(stream), telemetry.MetricsOf(reg, false))}
 		st, err := Run(cfg, 5, func(int) int { return 128 }, imbalancedBody)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -72,9 +75,39 @@ func TestRealRuntimeTelemetryCheck(t *testing.T) {
 			t.Fatalf("%s: %d registry samples, want 5", name, len(series))
 		}
 		last := series[len(series)-1].Values
-		if int64(last["iterations"]) != st.Iterations {
-			t.Errorf("%s: registry iterations %v vs stats %d", name, last["iterations"], st.Iterations)
+		for _, c := range []struct {
+			key  string
+			want int64
+		}{
+			{"iterations", st.Iterations},
+			{"central_ops", st.CentralOps},
+			{"steals", st.Steals},
+			{"migrated_iters", st.MigratedIters},
+			{"steal_latency_ns_count", st.Steals},
+		} {
+			if int64(last[c.key]) != c.want {
+				t.Errorf("%s: registry %s %v vs stats %d", name, c.key, last[c.key], c.want)
+			}
 		}
+	}
+}
+
+// TestRealRuntimeRefusesAFSLE: the real engine has no global iteration
+// identity to track last-executed ownership by, so it refuses AFS-LE
+// instead of silently running plain AFS.
+func TestRealRuntimeRefusesAFSLE(t *testing.T) {
+	spec, err := sched.ByName("afs-le")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	_, err = Run(Config{Procs: 2, Spec: spec}, 1, func(int) int { return 8 },
+		func(int, int) { ran = true })
+	if err == nil || !strings.Contains(err.Error(), "AFS-LE") {
+		t.Fatalf("AFS-LE run: err = %v, want a refusal naming AFS-LE", err)
+	}
+	if ran {
+		t.Error("refused submission executed the loop body")
 	}
 }
 

@@ -81,8 +81,12 @@ func fieldErr(field, format string, args ...any) error {
 // offending JSON field.
 func (s Spec) Validate() error {
 	if s.Scheduler != "" {
-		if _, err := sched.ByName(s.Scheduler); err != nil {
+		spec, err := sched.ByName(s.Scheduler)
+		if err != nil {
 			return fieldErr("scheduler", "%v", err)
+		}
+		if spec.LastExecuted {
+			return fieldErr("scheduler", "%s is simulator-only: the real engine cannot track last-executed ownership", spec.Name)
 		}
 	}
 	if s.Procs < 0 {

@@ -23,9 +23,17 @@ func cfgSig(c core.Config) string {
 
 // TestSpecRoundTrip is the satellite-4 coverage: JSON marshal →
 // unmarshal → Config produces an identical core.Config for every
-// registered scheduler × every registered kernel.
+// registered scheduler the real engine runs × every registered kernel;
+// the simulator-only AFS-LE is refused by name.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, ss := range sched.AllSpecs() {
+		if ss.LastExecuted {
+			_, err := job.Spec{Kernel: "spin", Scheduler: ss.Name}.Config()
+			if err == nil || !strings.Contains(err.Error(), "jobspec.scheduler") {
+				t.Errorf("%s: Config = %v, want a jobspec.scheduler refusal", ss.Name, err)
+			}
+			continue
+		}
 		for _, kname := range job.Names() {
 			spec := job.Spec{
 				Kernel:     kname,
@@ -88,6 +96,7 @@ func TestSpecValidateNamesField(t *testing.T) {
 		want string
 	}{
 		{job.Spec{Scheduler: "nope"}, "jobspec.scheduler"},
+		{job.Spec{Scheduler: "afs-le"}, "jobspec.scheduler"},
 		{job.Spec{Procs: -1}, "jobspec.procs"},
 		{job.Spec{Grain: -2}, "jobspec.grain"},
 		{job.Spec{DeadlineMS: -5}, "jobspec.deadline_ms"},
@@ -154,7 +163,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	f.Add(`{"kernel":"sor"}`)
 	f.Add(`{"kernel":"gauss","params":{"n":64},"scheduler":"gss","procs":2}`)
 	f.Add(`{"kernel":"tc-random","params":{"n":40,"seed":7},"scheduler":"chunk(8)","grain":4}`)
-	f.Add(`{"kernel":"spin","params":{"work":10},"scheduler":"afs-le","tenant":"t1","priority":3}`)
+	f.Add(`{"kernel":"spin","params":{"work":10},"scheduler":"afs-rand","tenant":"t1","priority":3}`)
 	f.Add(`{"scheduler":"factoring","deadline_ms":1000}`)
 	f.Add(`{"kernel":"l4","params":{"phases":2,"work":1},"scheduler":"AFS(k=2)"}`)
 	f.Fuzz(func(t *testing.T, raw string) {

@@ -137,6 +137,9 @@ func TestGaussParallelMatchesSerial(t *testing.T) {
 	ref := NewGaussMatrix(n)
 	ref.RunSerial()
 	for _, spec := range sched.AllSpecs() {
+		if spec.LastExecuted {
+			continue // simulator-only: the real engine refuses AFS-LE
+		}
 		g := NewGaussMatrix(n)
 		_, err := core.Run(core.Config{Procs: 8, Spec: spec}, n-1,
 			g.PhaseIterations,
@@ -178,7 +181,7 @@ func TestTCParallelMatchesSerial(t *testing.T) {
 func testTCParallelMatchesSerial(t *testing.T, g *workload.Graph) {
 	ref := NewTCGraph(g)
 	ref.RunSerial()
-	for _, spec := range []sched.Spec{sched.SpecAFS(), sched.SpecFactoring(), sched.SpecSS(), sched.SpecStatic(), sched.SpecModFactoring(), sched.SpecAFSLE()} {
+	for _, spec := range []sched.Spec{sched.SpecAFS(), sched.SpecFactoring(), sched.SpecSS(), sched.SpecStatic(), sched.SpecModFactoring()} {
 		tc := NewTCGraph(g)
 		for ph := 0; ph < g.N; ph++ {
 			tc.BeginPhase(ph)

@@ -19,7 +19,7 @@ import (
 //     StringVar whose name ends in "addr") must validate it with
 //     cli.AddrFlag, so a bad -addr fails naming its flag instead of
 //     surfacing as a confusing net.Listen bind error (the contract
-//     loopserved and perflab serve follow);
+//     loopserved follows);
 //   - no new call sites of deprecated API: any identifier whose
 //     declaration doc carries a "Deprecated:" paragraph is flagged
 //     when used outside its declaring package (the migration note in

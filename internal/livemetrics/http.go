@@ -17,8 +17,7 @@ import (
 
 // expvar.Publish panics on duplicate names, so the livemetrics
 // callback is registered once and reads whichever Plane the most
-// recent NewHandler installed (the perflab dashboard uses the same
-// pattern for its live state).
+// recent NewHandler installed.
 var (
 	publishOnce sync.Once
 	planeVar    atomic.Pointer[Plane]

@@ -4,7 +4,7 @@
 // goroutine runtime), a runner collecting wall-time distributions plus
 // telemetry-derived counters, a versioned BENCH_<n>.json baseline
 // store at the repo root, a statistical comparator that gates PRs on
-// significant regressions, and markdown/SVG/HTTP reporting.
+// significant regressions, and markdown/SVG reporting.
 //
 // The flow, driven by cmd/perflab:
 //
@@ -12,7 +12,6 @@
 //	compare  old vs new baseline → markdown report + trend SVGs
 //	gate     re-run gate cases, compare to latest baseline,
 //	         exit non-zero on a significant regression
-//	serve    live HTML dashboard of the baseline history
 //
 // Significance is decided on robust statistics (median, MAD, bootstrap
 // 95% CI from internal/stats): a case regresses when its median ratio

@@ -90,7 +90,9 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	if c.Repeats < 1 {
 		return CaseResult{}, fmt.Errorf("repeats must be >= 1 (got %d)", c.Repeats)
 	}
-	var once func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error)
+	// once runs one repeat and returns its sample and the engine's own
+	// totals (sim.Metrics or core.Stats) as counters.
+	var once func(rep int, obs telemetry.Observer) (float64, map[string]float64, error)
 	switch c.Substrate {
 	case SubstrateSim:
 		m, err := machine.ByName(c.Machine)
@@ -105,35 +107,57 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 		if err != nil {
 			return CaseResult{}, err
 		}
-		once = func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error) {
+		once = func(rep int, obs telemetry.Observer) (float64, map[string]float64, error) {
 			met, err := sim.RunOpts(m, c.Procs, spec, build(), sim.Options{
 				Seed:     r.seedFor(c.ID) + uint64(rep),
-				Metrics:  reg,
-				Observer: telemetry.ProvOf(prov),
+				Observer: obs,
 			})
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
-			return met.Seconds, nil
+			return met.Seconds, map[string]float64{
+				"central_ops":       float64(met.CentralOps),
+				"local_ops":         float64(sumInts(met.LocalOps)),
+				"remote_ops":        float64(sumInts(met.RemoteOps)),
+				"steals":            float64(met.Steals),
+				"migrated_iters":    float64(met.MigratedIters),
+				"cache_hits":        float64(met.Hits),
+				"cache_misses":      float64(met.Misses),
+				"bus_wait_cycles":   met.BusWaitCycles,
+				"queue_wait_cycles": met.QueueWaitCycles,
+				"bytes_moved":       float64(met.BytesMoved),
+			}, nil
 		}
 	case SubstrateReal:
 		run, err := realKernel(c)
 		if err != nil {
 			return CaseResult{}, err
 		}
-		once = func(rep int, reg *telemetry.Registry, prov telemetry.ProvSink) (float64, error) {
-			st, err := run(reg, prov)
+		once = func(rep int, obs telemetry.Observer) (float64, map[string]float64, error) {
+			st, err := run(obs)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
-			return st.Elapsed.Seconds(), nil
+			var local, remote int64
+			for w := range st.LocalOps {
+				local += st.LocalOps[w]
+				remote += st.RemoteOps[w]
+			}
+			return st.Elapsed.Seconds(), map[string]float64{
+				"central_ops":    float64(st.CentralOps),
+				"local_ops":      float64(local),
+				"remote_ops":     float64(remote),
+				"steals":         float64(st.Steals),
+				"migrated_iters": float64(st.MigratedIters),
+				"iterations":     float64(st.Iterations),
+			}, nil
 		}
 	default:
 		return CaseResult{}, fmt.Errorf("unknown substrate %q", c.Substrate)
 	}
 
 	for w := 0; w < c.Warmup; w++ {
-		if _, err := once(-1-w, nil, nil); err != nil {
+		if _, _, err := once(-1-w, nil); err != nil {
 			return CaseResult{}, err
 		}
 	}
@@ -141,6 +165,7 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 	var counters map[string]float64
 	var provRecords []telemetry.Prov
 	for rep := 0; rep < c.Repeats; rep++ {
+		var obs telemetry.Observer
 		var reg *telemetry.Registry
 		var prov provRecorder
 		if rep == c.Repeats-1 {
@@ -150,14 +175,16 @@ func (r *Runner) runCase(c Case) (CaseResult, error) {
 			} else {
 				prov = telemetry.NewProvStream()
 			}
+			obs = telemetry.Observers(telemetry.ProvOf(prov),
+				telemetry.MetricsOf(reg, c.Substrate == SubstrateSim))
 		}
-		s, err := once(rep, reg, sinkOrNil(prov))
+		s, totals, err := once(rep, obs)
 		if err != nil {
 			return CaseResult{}, err
 		}
 		samples = append(samples, s)
 		if reg != nil {
-			counters = currentValues(reg)
+			counters = caseCounters(reg, totals)
 		}
 		if prov != nil {
 			provRecords = prov.Records()
@@ -184,13 +211,29 @@ type provRecorder interface {
 	Records() []telemetry.Prov
 }
 
-// sinkOrNil avoids handing the substrates a non-nil interface wrapping
-// a nil recorder (which would defeat their `sink != nil` fast path).
-func sinkOrNil(p provRecorder) telemetry.ProvSink {
-	if p == nil {
+// caseCounters merges the final repeat's engine totals over the
+// metrics reader's last sample, which adds the chunk-size, queue-wait
+// and steal-latency histograms. A registry with no sample was never
+// wired into the run (serve-steady has no seam for an observer), so
+// the case reports no counters.
+func caseCounters(reg *telemetry.Registry, totals map[string]float64) map[string]float64 {
+	series := reg.Series()
+	if len(series) == 0 {
 		return nil
 	}
-	return p
+	out := series[len(series)-1].Values
+	for k, v := range totals {
+		out[k] = v
+	}
+	return out
+}
+
+func sumInts(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
+	}
+	return t
 }
 
 // forensicsSummary condenses the final repeat's provenance into the
@@ -217,64 +260,72 @@ func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 	return &s
 }
 
-// currentValues snapshots the registry's live metric values (counters,
-// gauges, histogram count/sum pairs) into a plain map.
-func currentValues(reg *telemetry.Registry) map[string]float64 {
-	reg.Snapshot(-1)
-	series := reg.Series()
-	if len(series) == 0 {
-		return nil
-	}
-	return series[len(series)-1].Values
-}
-
 // realKernel builds a closure running one full execution of the case's
 // kernel on the real goroutine runtime, mirroring cmd/realbench's
 // kernel set (the subset that is fast enough for a standing suite).
-func realKernel(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error), error) {
+func realKernel(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	if c.Kernel == "many-small-loops" || c.Kernel == "steady-loops" {
 		return manySmallLoops(c)
 	}
 	if c.Kernel == "serve-steady" {
 		return serveSteady(c)
 	}
-	opts := func(reg *telemetry.Registry, prov telemetry.ProvSink) core.Config {
+	opts := func(obs telemetry.Observer) core.Config {
 		spec, _ := sched.ByName(c.Algo)
-		return core.Config{Procs: c.Procs, Spec: spec, Metrics: reg, Observer: telemetry.ProvOf(prov)}
+		return core.Config{Procs: c.Procs, Spec: spec, Observer: obs}
 	}
 	if _, err := sched.ByName(c.Algo); err != nil {
 		return nil, err
 	}
 	switch c.Kernel {
 	case "gauss":
-		return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+		return func(obs telemetry.Observer) (core.Stats, error) {
 			g := kernels.NewGaussMatrix(c.N)
-			return core.Run(opts(reg, prov), c.N-1, g.PhaseIterations,
+			return core.Run(opts(obs), c.N-1, g.PhaseIterations,
 				func(ph, i int) { g.EliminateRow(ph, i) })
 		}, nil
 	case "sor":
-		return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+		return func(obs telemetry.Observer) (core.Stats, error) {
 			g := kernels.NewSORGrid(c.N)
 			var total core.Stats
 			for ph := 0; ph < c.Phases; ph++ {
-				st, err := core.ParallelFor(opts(reg, prov), c.N, g.UpdateRow)
+				st, err := core.ParallelFor(opts(obs), c.N, g.UpdateRow)
 				if err != nil {
 					return total, err
 				}
-				total.Elapsed += st.Elapsed
-				total.Iterations += st.Iterations
-				total.Steals += st.Steals
+				total = addStats(total, st)
 				g.Swap()
 			}
 			return total, nil
 		}, nil
 	case "adjoint":
-		return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+		return func(obs telemetry.Observer) (core.Stats, error) {
 			d := kernels.NewAdjointData(c.N, false)
-			return core.ParallelFor(opts(reg, prov), d.Iterations(), d.Body)
+			return core.ParallelFor(opts(obs), d.Iterations(), d.Body)
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown real-substrate kernel %q (gauss, sor, adjoint, many-small-loops, steady-loops)", c.Kernel)
+}
+
+// addStats folds one loop's stats into a multi-loop total,
+// value-in/value-out: both sides are private snapshots, so the
+// arithmetic stays off the atomic fields' shared instances.
+func addStats(total, st core.Stats) core.Stats {
+	total.Elapsed += st.Elapsed
+	total.CentralOps += st.CentralOps
+	if total.LocalOps == nil {
+		total.LocalOps = make([]int64, len(st.LocalOps))
+		total.RemoteOps = make([]int64, len(st.RemoteOps))
+	}
+	for w := range st.LocalOps {
+		total.LocalOps[w] += st.LocalOps[w]
+		total.RemoteOps[w] += st.RemoteOps[w]
+	}
+	total.Steals += st.Steals
+	total.MigratedIters += st.MigratedIters
+	total.Phases += st.Phases
+	total.Iterations += st.Iterations
+	return total
 }
 
 // manySmallLoops is the executor-reuse duel kernel (also serving the
@@ -300,7 +351,7 @@ func realKernel(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) 
 // deliberate worst case — chunk bodies of ~100ns against fixed
 // per-chunk instrument cost; with steady-loops sizes the chunks are
 // tens of microseconds and the same instruments amortise to noise.
-func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error), error) {
+func manySmallLoops(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	switch c.Algo {
 	case "executor", "percall", "executor-obs", "executor-traced", "executor-triage":
 	default:
@@ -310,10 +361,10 @@ func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSi
 	if err != nil {
 		return nil, err
 	}
-	return func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error) {
+	return func(obs telemetry.Observer) (core.Stats, error) {
 		data := make([]float64, c.N)
 		body := func(i int) { data[i] += 1 / (1 + data[i]) }
-		cfg := core.Config{Procs: c.Procs, Spec: spec, Metrics: reg, Observer: telemetry.ProvOf(prov)}
+		cfg := core.Config{Procs: c.Procs, Spec: spec, Observer: obs}
 		var total core.Stats
 		start := time.Now()
 		if c.Algo != "percall" {
@@ -362,8 +413,7 @@ func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSi
 				if err != nil {
 					return total, err
 				}
-				total.Iterations += st.Iterations
-				total.Steals += st.Steals
+				total = addStats(total, st)
 			}
 			if checkQuiet != nil {
 				if err := checkQuiet(); err != nil {
@@ -376,8 +426,7 @@ func manySmallLoops(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSi
 				if err != nil {
 					return total, err
 				}
-				total.Iterations += st.Iterations
-				total.Steals += st.Steals
+				total = addStats(total, st)
 			}
 		}
 		total.Elapsed = time.Since(start)

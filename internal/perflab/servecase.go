@@ -37,10 +37,10 @@ import (
 // creation sits inside the timed region in both arms (pool.New vs
 // serve.New), matching the many-small-loops convention: the claim
 // covers what a process pays to serve the stream, setup included.
-// Neither arm wires the case telemetry registry — the served arm's
-// pipeline has no seam for one, and instrumenting only the direct arm
-// would bias the gated ratio.
-func serveSteady(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink) (core.Stats, error), error) {
+// Neither arm wires the case's observer — the served arm's pipeline
+// has no seam for one, and instrumenting only the direct arm would
+// bias the gated ratio.
+func serveSteady(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
 	switch c.Algo {
 	case "direct", "served":
 	default:
@@ -52,7 +52,7 @@ func serveSteady(c Case) (func(reg *telemetry.Registry, prov telemetry.ProvSink)
 		Scheduler: "afs",
 		Procs:     c.Procs,
 	}
-	return func(_ *telemetry.Registry, _ telemetry.ProvSink) (core.Stats, error) {
+	return func(telemetry.Observer) (core.Stats, error) {
 		ctx := context.Background()
 		var total core.Stats
 		start := time.Now()

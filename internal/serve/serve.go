@@ -104,8 +104,8 @@ type TenantConfig struct {
 
 // Options configures a Server.
 type Options struct {
-	// Procs is the worker count for shards whose spec does not pin one;
-	// 0 means GOMAXPROCS.
+	// Procs is the worker count for shards whose spec does not pin one,
+	// and the most a spec may pin; 0 means GOMAXPROCS.
 	Procs int
 	// QueueLimit bounds the admission backlog (jobs admitted past their
 	// quota but not yet dispatched); 0 means 256. At the bound, arrivals
@@ -261,6 +261,11 @@ func (s *Server) Submit(ctx context.Context, spec job.Spec) (Result, error) {
 		return Result{}, &RejectError{Err: err}
 	}
 	cfg, err := spec.Config()
+	if err == nil && spec.Procs > s.opts.Procs {
+		// Shards are never evicted, so a spec must not size one past
+		// the server's width.
+		err = fmt.Errorf("jobspec.procs: %d exceeds the server's %d workers", spec.Procs, s.opts.Procs)
+	}
 	if err != nil {
 		s.observe(tenant, 0, livemetrics.AdmitRejected)
 		return Result{}, &RejectError{Err: err}

@@ -277,6 +277,36 @@ func TestRejectInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestRejectProcsAboveWidth: a spec may not pin more workers than the
+// server has, because shards are never evicted; the refusal is a 400
+// returned before any shard is created.
+func TestRejectProcsAboveWidth(t *testing.T) {
+	const width = 2
+	s, err := New(Options{Procs: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Submit(context.Background(), tinySpec("")); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Status().Shards
+
+	spec := tinySpec("")
+	spec.Procs = width + 1
+	_, err = s.Submit(context.Background(), spec)
+	var rej *RejectError
+	if !errors.As(err, &rej) || !strings.Contains(err.Error(), "procs") {
+		t.Fatalf("procs=%d on a %d-wide server: err = %v, want a *RejectError naming procs", spec.Procs, width, err)
+	}
+	if got := HTTPStatus(err); got != 400 {
+		t.Errorf("classifies as %d, want 400", got)
+	}
+	if after := s.Status().Shards; len(after) != len(before) {
+		t.Errorf("shards went from %v to %v", before, after)
+	}
+}
+
 func TestCloseDrains(t *testing.T) {
 	s, err := New(Options{Procs: 2})
 	if err != nil {

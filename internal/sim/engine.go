@@ -31,13 +31,10 @@ type Options struct {
 	// records carry the owner queue, the stolen flag and the exact
 	// decomposition of the chunk's window into compute, cache-reload
 	// and bus-wait cycles, the input internal/forensics attributes
-	// slowdowns from. The simulator is single-threaded, so the
+	// slowdowns from. A metrics registry reads the stream through
+	// telemetry.MetricsOf. The simulator is single-threaded, so the
 	// observer need not be safe for concurrent use.
 	Observer telemetry.Observer
-	// Metrics, when non-nil, is updated with counters and histograms
-	// (sync ops, chunk sizes, queue waits, steal latency) and receives
-	// a time-series snapshot at every step barrier.
-	Metrics *telemetry.Registry
 	// ActiveProcs, when non-nil, gives the number of processors
 	// available during each step (clamped to [1, P]) — modelling a
 	// space-sharing operating system growing or shrinking the
@@ -75,9 +72,6 @@ func RunOpts(m *machine.Machine, p int, spec sched.Spec, prog Program, opts Opti
 	}
 	e := newEngine(m, p, spec, prog)
 	e.obs = opts.Observer
-	if opts.Metrics != nil {
-		e.rh = newRegHandles(opts.Metrics)
-	}
 	e.activeFn = opts.ActiveProcs
 	e.flushEvery = opts.FlushEverySteps
 	e.seed = opts.Seed ^ 0x9e3779b97f4a7c15
@@ -196,7 +190,6 @@ type engine struct {
 	seed  uint64
 	step  int
 	obs   telemetry.Observer
-	rh    *regHandles
 
 	// fetchOwner/fetchStolen describe the chunk the most recent
 	// fetcher call returned: which queue it came from (-1 for the
@@ -304,9 +297,6 @@ func (e *engine) run() {
 			e.obs.Observe(telemetry.Record{Kind: telemetry.KindPhaseEnd,
 				Step: s, Proc: -1, Owner: -1, Start: t, End: t})
 		}
-		if e.rh != nil {
-			e.snapshotStep(s)
-		}
 	}
 }
 
@@ -376,13 +366,7 @@ func (e *engine) runStep() {
 					e.obs.Observe(telemetry.Record{Kind: telemetry.KindQueueWait,
 						Step: e.step, Proc: p, Owner: e.fetchOwner, Start: st.clock, End: ready})
 				}
-				if e.rh != nil {
-					e.rh.queueWaitHist.Observe(ready - st.clock)
-				}
 				st.clock = ready
-			}
-			if e.rh != nil {
-				e.rh.chunkSize.Observe(float64(c.Len()))
 			}
 			st.chunk = c
 			st.chunkStart = st.clock
@@ -757,9 +741,6 @@ func (f *afsFetcher) fetch(p int, now float64) (sched.Chunk, float64, bool) {
 		f.e.obs.Observe(telemetry.Record{Kind: telemetry.KindSteal,
 			Step: f.e.step, Proc: p, Owner: v, Stolen: true,
 			Lo: c.Lo, Hi: c.Hi, Start: now, End: end})
-	}
-	if f.e.rh != nil {
-		f.e.rh.stealLatency.Observe(end - now)
 	}
 	return c, end, true
 }

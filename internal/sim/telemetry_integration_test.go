@@ -69,7 +69,7 @@ func TestTracecheckAllSchedulersAllKernels(t *testing.T) {
 	}
 }
 
-// TestSimRegistryTimeSeries: the metrics registry snapshots once per
+// TestSimRegistryTimeSeries: the metrics reader snapshots once per
 // step and its cumulative counters match the final metrics.
 func TestSimRegistryTimeSeries(t *testing.T) {
 	m := machine.Iris()
@@ -78,7 +78,7 @@ func TestSimRegistryTimeSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	res, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Metrics: reg})
+	res, err := sim.RunOpts(m, 4, sched.SpecAFS(), build(), sim.Options{Observer: telemetry.MetricsOf(reg, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,20 +90,78 @@ func TestSimRegistryTimeSeries(t *testing.T) {
 	if got := int(last["steals"]); got != res.Steals {
 		t.Errorf("registry steals %d vs metrics %d", got, res.Steals)
 	}
-	if got := int(last["local_ops"]); got != sumInts(res.LocalOps) {
-		t.Errorf("registry local_ops %d vs metrics %d", got, sumInts(res.LocalOps))
+	if got := int(last["migrated_iters"]); got != res.MigratedIters {
+		t.Errorf("registry migrated_iters %d vs metrics %d", got, res.MigratedIters)
 	}
 	// Counters are cumulative, so the series must be non-decreasing.
-	prev := -1.0
-	for _, s := range series {
-		v := s.Values["local_ops"]
-		if v < prev {
-			t.Fatalf("local_ops series decreased: %v then %v", prev, v)
+	for _, key := range []string{"steals", "migrated_iters"} {
+		prev := -1.0
+		for _, s := range series {
+			v := s.Values[key]
+			if v < prev {
+				t.Fatalf("%s series decreased: %v then %v", key, prev, v)
+			}
+			prev = v
 		}
-		prev = v
 	}
 	if reg.Histogram("chunk_size", nil).Count() == 0 {
 		t.Error("no chunk sizes observed")
+	}
+}
+
+// TestSimMetricsReader pins the registry the record reader builds on a
+// fixed-seed run: one sample per step, counters equal to the engine's
+// metrics, and histogram counts and sums equal to those the engine's
+// own registry handles recorded before the reader replaced them.
+func TestSimMetricsReader(t *testing.T) {
+	type hist struct{ count, sum float64 }
+	cases := []struct {
+		algo                  string
+		chunk, wait, stealLat hist
+	}{
+		{"afs", hist{2016, 2016}, hist{2016, 538767.441358928}, hist{219, 313571.1376220145}},
+		{"gss", hist{924, 2016}, hist{924, 7.418091151711395e+06}, hist{0, 0}},
+	}
+	m := machine.KSR1()
+	build, _, err := cli.BuildKernel("gauss", 64, 0, 1, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		spec, err := sched.ByName(c.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		res, err := sim.RunOpts(m, 8, spec, build(), sim.Options{Seed: 7, Observer: telemetry.MetricsOf(reg, true)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := reg.Series()
+		if len(series) != res.Steps {
+			t.Fatalf("%s: %d samples for %d steps", c.algo, len(series), res.Steps)
+		}
+		for i, s := range series {
+			if s.Step != i {
+				t.Fatalf("%s: sample %d labelled step %d", c.algo, i, s.Step)
+			}
+		}
+		last := series[len(series)-1].Values
+		for key, want := range map[string]int{
+			"steals": res.Steals, "migrated_iters": res.MigratedIters,
+			"central_ops": res.CentralOps, "remote_ops": sumInts(res.RemoteOps),
+		} {
+			if got := int(last[key]); got != want {
+				t.Errorf("%s: %s = %d, metrics say %d", c.algo, key, got, want)
+			}
+		}
+		for name, want := range map[string]hist{
+			"chunk_size": c.chunk, "queue_wait_cycles_hist": c.wait, "steal_latency_cycles": c.stealLat,
+		} {
+			if got := (hist{last[name+"_count"], last[name+"_sum"]}); got != want {
+				t.Errorf("%s: %s count/sum = %v, pinned %v", c.algo, name, got, want)
+			}
+		}
 	}
 }
 

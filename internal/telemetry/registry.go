@@ -184,10 +184,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // Snapshot appends one StepSample capturing the current value of every
-// registered metric, labelled with the given step. Both runtimes call
-// this at each phase barrier, turning the registry into a per-step
-// time series (affinity decay across outer-loop phases shows up as the
-// step-over-step delta of e.g. the "migrated_iters" counter).
+// registered metric, labelled with the given step. The MetricsOf reader
+// calls it on every phase-end record, turning the registry into a
+// per-step time series (affinity decay across outer-loop phases shows
+// up as the step-over-step delta of e.g. the "migrated_iters" counter).
 func (r *Registry) Snapshot(step int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -233,4 +233,75 @@ func (r *Registry) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return fmt.Sprintf("registry{%d metrics, %d samples}", len(r.order), len(r.series))
+}
+
+// metricsOf is the registry's reader of the record stream. Every
+// series it keeps is one that records determine exactly; per-queue
+// local takes and the simulator's memory totals are not among them
+// (a static chunk and an AFS local take make the same exec record),
+// so those stay in core.Stats and sim.Metrics.
+type metricsOf struct {
+	reg *Registry
+
+	centralOps    *Counter
+	remoteOps     *Counter
+	steals        *Counter
+	migratedIters *Counter
+	iterations    *Counter
+
+	chunkSize    *Histogram
+	queueWait    *Histogram
+	stealLatency *Histogram
+}
+
+// MetricsOf adapts a registry: exec, steal and queue-wait records
+// update its counters and histograms, and every phase-end record takes
+// one Snapshot. cycles selects the simulator's series names and
+// cycle-scaled buckets (queue_wait_cycles_hist, steal_latency_cycles);
+// otherwise the real runtime's nanosecond ones (queue_wait_ns,
+// steal_latency_ns). Every series is registered here, so a run with no
+// steals still reports zeros. The reader is safe for concurrent use.
+// A nil registry gives a nil Observer.
+func MetricsOf(r *Registry, cycles bool) Observer {
+	if r == nil {
+		return nil
+	}
+	waitName, stealName := "queue_wait_ns", "steal_latency_ns"
+	lat := ExpBuckets(100, 4, 12) // 100ns .. ~1.6s
+	if cycles {
+		waitName, stealName = "queue_wait_cycles_hist", "steal_latency_cycles"
+		lat = ExpBuckets(1, 4, 12) // 1 cycle .. ~4M cycles
+	}
+	return &metricsOf{
+		reg:           r,
+		centralOps:    r.Counter("central_ops"),
+		remoteOps:     r.Counter("remote_ops"),
+		steals:        r.Counter("steals"),
+		migratedIters: r.Counter("migrated_iters"),
+		iterations:    r.Counter("iterations"),
+		chunkSize:     r.Histogram("chunk_size", ExpBuckets(1, 2, 16)), // 1 .. 32768 iterations
+		queueWait:     r.Histogram(waitName, lat),
+		stealLatency:  r.Histogram(stealName, lat),
+	}
+}
+
+func (m *metricsOf) Observe(r Record) {
+	switch r.Kind {
+	case KindExec:
+		n := int64(r.Hi - r.Lo)
+		m.iterations.Add(n)
+		m.chunkSize.Observe(float64(n))
+		if r.Owner < 0 {
+			m.centralOps.Inc()
+		}
+	case KindSteal:
+		m.steals.Inc()
+		m.remoteOps.Inc()
+		m.migratedIters.Add(int64(r.Hi - r.Lo))
+		m.stealLatency.Observe(r.End - r.Start)
+	case KindQueueWait:
+		m.queueWait.Observe(r.End - r.Start)
+	case KindPhaseEnd:
+		m.reg.Snapshot(r.Step)
+	}
 }

@@ -9,7 +9,8 @@
 //     boundary as one Record handed to one Observer, nil by default so
 //     instrumented hot paths pay exactly one nil check when telemetry
 //     is off. Readers derive their views from it: EventsOf lowers
-//     records onto an event Sink, ProvOf onto a provenance sink;
+//     records onto an event Sink, ProvOf onto a provenance sink,
+//     MetricsOf onto a metrics Registry;
 //   - a metrics Registry of named counters, gauges and fixed-bucket
 //     histograms with per-step time-series snapshots (registry.go);
 //   - exporters: JSONL and CSV event dumps (export.go), the Chrome

@@ -126,6 +126,57 @@ func TestRegistrySnapshotSeries(t *testing.T) {
 	}
 }
 
+// TestMetricsOf: the registry reader registers every series up front
+// (a run with no steals still reports zeros), folds each record kind
+// into its own series, and snapshots once per phase-end record.
+func TestMetricsOf(t *testing.T) {
+	if MetricsOf(nil, false) != nil {
+		t.Error("MetricsOf(nil) is not a nil Observer")
+	}
+	for _, c := range []struct {
+		cycles      bool
+		wait, steal string
+	}{
+		{false, "queue_wait_ns", "steal_latency_ns"},
+		{true, "queue_wait_cycles_hist", "steal_latency_cycles"},
+	} {
+		r := NewRegistry()
+		o := MetricsOf(r, c.cycles)
+		want := []string{"central_ops", "remote_ops", "steals", "migrated_iters", "iterations",
+			"chunk_size_count", "chunk_size_sum", c.wait + "_count", c.wait + "_sum",
+			c.steal + "_count", c.steal + "_sum"}
+		if got := r.MetricNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("cycles=%t: names %v, want %v", c.cycles, got, want)
+		}
+		for _, rec := range []Record{
+			{Kind: KindPhaseBegin, Step: 0, Proc: -1, Owner: -1, Hi: 12},
+			{Kind: KindQueueWait, Step: 0, Proc: 0, Owner: -1, Start: 10, End: 15},
+			{Kind: KindExec, Step: 0, Proc: 0, Owner: -1, Lo: 0, Hi: 4},
+			{Kind: KindExec, Step: 0, Proc: 1, Owner: 1, Lo: 4, Hi: 8},
+			{Kind: KindSteal, Step: 0, Proc: 0, Owner: 1, Stolen: true, Lo: 8, Hi: 11, Start: 20, End: 27},
+			{Kind: KindExec, Step: 0, Proc: 0, Owner: 1, Stolen: true, Lo: 8, Hi: 11},
+			{Kind: KindCacheFlush, Step: 0, Proc: -1, Owner: -1},
+			{Kind: KindPhaseEnd, Step: 0, Proc: -1, Owner: -1},
+			{Kind: KindPhaseEnd, Step: 1, Proc: -1, Owner: -1},
+		} {
+			o.Observe(rec)
+		}
+		series := r.Series()
+		if len(series) != 2 || series[0].Step != 0 || series[1].Step != 1 {
+			t.Fatalf("cycles=%t: series %+v, want steps 0 and 1", c.cycles, series)
+		}
+		for key, want := range map[string]float64{
+			"central_ops": 1, "remote_ops": 1, "steals": 1, "migrated_iters": 3, "iterations": 11,
+			"chunk_size_count": 3, "chunk_size_sum": 11,
+			c.wait + "_count": 1, c.wait + "_sum": 5, c.steal + "_count": 1, c.steal + "_sum": 7,
+		} {
+			if got := series[0].Values[key]; got != want {
+				t.Errorf("cycles=%t: %s = %v, want %v", c.cycles, key, got, want)
+			}
+		}
+	}
+}
+
 func TestExpBuckets(t *testing.T) {
 	b := ExpBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}

@@ -1,5 +1,5 @@
-// Package webui holds what the repo's HTTP surfaces (perflab serve,
-// loopserved, realbench -pprof) share: one stylesheet, one page
+// Package webui holds what the repo's HTTP surfaces (loopserved,
+// realbench -pprof) share: one stylesheet, one page
 // skeleton and one JSON-poll auto-refresh script for the dashboards,
 // one indented JSON responder, and one /debug/ route set (pprof and
 // expvar).

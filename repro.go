@@ -8,9 +8,9 @@
 //     algorithm the paper studies — static, self-scheduling, fixed
 //     chunking, guided self-scheduling, factoring, trapezoid
 //     self-scheduling, modified factoring, and affinity scheduling
-//     (AFS), plus the tapering / adaptive-GSS / AFS-LE extensions —
-//     over goroutine workers with per-worker work queues and
-//     most-loaded stealing (ParallelFor, ForPhases);
+//     (AFS), plus the tapering / adaptive-GSS extensions — over
+//     goroutine workers with per-worker work queues and most-loaded
+//     stealing (ParallelFor, ForPhases);
 //   - a deterministic discrete-event simulator of the paper's four
 //     machines (SGI Iris, BBN Butterfly I, Sequent Symmetry, KSR-1)
 //     that regenerates every figure and table in the paper's evaluation
@@ -76,7 +76,9 @@ var (
 	// AFSK is affinity scheduling with an explicit local divisor k.
 	AFSK = sched.SpecAFSK
 	// AFSLE assigns re-executions to the last executing processor
-	// (extension discussed in §4.3).
+	// (extension discussed in §4.3). Simulator only: the real runtime
+	// refuses it, because a loop body carries no iteration identity
+	// that survives across phases.
 	AFSLE = sched.SpecAFSLE
 	// AFSRandom steals from a random victim instead of scanning for the
 	// most loaded queue (the §2.2 scalability extension).
@@ -131,15 +133,14 @@ type config struct {
 	// lowering.
 	spec *Scheduler
 	// Process-local attachments, applied on top of the lowered config.
-	ctx             context.Context
-	costHint        func(ph, i int) float64
-	startDelay      []time.Duration
-	events          EventSink
-	metrics         *MetricsRegistry
-	prov            ProvenanceSink
-	queueDepthEvery time.Duration
-	obs             *livemetrics.Plane
-	tracer          *spantrace.Tracer
+	ctx        context.Context
+	costHint   func(ph, i int) float64
+	startDelay []time.Duration
+	events     EventSink
+	metrics    *MetricsRegistry
+	prov       ProvenanceSink
+	obs        *livemetrics.Plane
+	tracer     *spantrace.Tracer
 
 	// cc is the lowered core config, resolved once by buildConfig.
 	cc  core.Config
@@ -265,8 +266,10 @@ func WithEvents(s EventSink) Option {
 }
 
 // WithMetrics attaches a metrics registry accumulating counters and
-// histograms (chunk sizes, steal latencies, queue waits) with a
-// time-series snapshot taken at every phase barrier.
+// histograms (chunk sizes, steal latencies, contended queue waits)
+// with a time-series snapshot taken at every phase barrier. The
+// registry reads the same record stream WithEvents does; per-queue
+// local takes are in RunStats only.
 func WithMetrics(r *MetricsRegistry) Option {
 	return func(c *config) { c.metrics = r }
 }
@@ -277,19 +280,6 @@ func WithMetrics(r *MetricsRegistry) Option {
 // NewProvenanceStream returns a suitable concurrent-safe sink.
 func WithProvenance(s ProvenanceSink) Option {
 	return func(c *config) { c.prov = s }
-}
-
-// WithQueueDepthSampling samples every work queue's backlog at the
-// given interval into RunStats.QueueDepthSamples — the real runtime's
-// version of the simulator's per-queue imbalance signal.
-func WithQueueDepthSampling(every time.Duration) Option {
-	return func(c *config) {
-		if every < 0 {
-			c.fail(optionErr("WithQueueDepthSampling", "interval must be ≥ 0, got %v", every))
-			return
-		}
-		c.queueDepthEvery = every
-	}
 }
 
 // Observability is a live observability plane: lock-cheap rolling
@@ -411,9 +401,8 @@ func (c *config) lower() (core.Config, error) {
 	cc.Ctx = c.ctx
 	cc.CostHint = c.costHint
 	cc.StartDelay = c.startDelay
-	cc.Observer = telemetry.Observers(telemetry.EventsOf(c.events), telemetry.ProvOf(c.prov))
-	cc.Metrics = c.metrics
-	cc.QueueDepthEvery = c.queueDepthEvery
+	cc.Observer = telemetry.Observers(telemetry.EventsOf(c.events), telemetry.ProvOf(c.prov),
+		telemetry.MetricsOf(c.metrics, false))
 	return cc, nil
 }
 
@@ -763,10 +752,6 @@ type ProvenanceStream = telemetry.SyncProvStream
 // stream.
 func NewProvenanceStream() *ProvenanceStream { return telemetry.NewSyncProvStream() }
 
-// QueueDepthSample is one timed per-queue backlog sample from
-// WithQueueDepthSampling.
-type QueueDepthSample = core.QueueDepths
-
 // MetricsRegistry holds named counters, gauges and histograms with
 // per-step time-series snapshots.
 type MetricsRegistry = telemetry.Registry
@@ -796,9 +781,10 @@ func WriteChromeTrace(w io.Writer, events []TelemetryEvent, label string, procs 
 // simConfig collects the SimOption settings; Simulate lowers it to
 // sim.Options the way config.lower does for the real runtime.
 type simConfig struct {
-	opts   sim.Options
-	events EventSink
-	prov   ProvenanceSink
+	opts    sim.Options
+	events  EventSink
+	prov    ProvenanceSink
+	metrics *MetricsRegistry
 }
 
 // SimOption tunes one Simulate run, mirroring ParallelFor's variadic
@@ -825,9 +811,10 @@ func WithSimEvents(s EventSink) SimOption {
 }
 
 // WithSimMetrics attaches a metrics registry snapshotted at every step
-// barrier.
+// barrier. Per-queue local takes and the memory-system totals are in
+// SimResult only.
 func WithSimMetrics(r *MetricsRegistry) SimOption {
-	return func(c *simConfig) { c.opts.Metrics = r }
+	return func(c *simConfig) { c.metrics = r }
 }
 
 // WithSimProvenance attaches a provenance sink receiving one record
@@ -856,6 +843,7 @@ func Simulate(m *Machine, p int, s Scheduler, prog SimProgram, opts ...SimOption
 	for _, opt := range opts {
 		opt(&c)
 	}
-	c.opts.Observer = telemetry.Observers(telemetry.EventsOf(c.events), telemetry.ProvOf(c.prov))
+	c.opts.Observer = telemetry.Observers(telemetry.EventsOf(c.events), telemetry.ProvOf(c.prov),
+		telemetry.MetricsOf(c.metrics, true))
 	return sim.RunOpts(m, p, s, prog, c.opts)
 }

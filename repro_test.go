@@ -28,7 +28,7 @@ func TestParallelForEverySchedulerByName(t *testing.T) {
 	names := []string{
 		"static", "best-static", "ss", "chunk(8)", "gss", "gss(k=2)",
 		"factoring", "trapezoid", "tapering", "a-gss", "afs", "afs(k=2)",
-		"afs-le", "mod-factoring",
+		"mod-factoring",
 	}
 	for _, name := range names {
 		var count int64
@@ -53,10 +53,11 @@ func TestWithSchedulerUnknown(t *testing.T) {
 
 func TestForPhases(t *testing.T) {
 	var count int64
+	reg := repro.NewMetricsRegistry()
 	st, err := repro.ForPhases(10,
 		func(ph int) int { return 100 },
 		func(ph, i int) { atomic.AddInt64(&count, 1) },
-		repro.WithSpec(repro.AFS()), repro.WithProcs(4))
+		repro.WithSpec(repro.AFS()), repro.WithProcs(4), repro.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,13 @@ func TestForPhases(t *testing.T) {
 	}
 	if st.Phases != 10 {
 		t.Errorf("phases = %d", st.Phases)
+	}
+	series := reg.Series()
+	if len(series) != 10 {
+		t.Fatalf("WithMetrics recorded %d samples, want one per phase", len(series))
+	}
+	if got := series[9].Values["iterations"]; got != 1000 {
+		t.Errorf("WithMetrics iterations = %v, want 1000", got)
 	}
 }
 
@@ -378,7 +386,8 @@ func TestOptionErrorsNameOption(t *testing.T) {
 		{repro.WithScheduler("not-a-scheduler"), "WithScheduler"},
 		{repro.WithGrain(-1), "WithGrain"},
 		{repro.WithStartDelay(-time.Second), "WithStartDelay"},
-		{repro.WithQueueDepthSampling(-time.Millisecond), "WithQueueDepthSampling"},
+		{repro.WithScheduler("afs-le"), "jobspec.scheduler"},
+		{repro.WithSpec(repro.AFSLE()), "jobspec.scheduler"},
 		{repro.WithJobSpec(repro.JobSpec{Kernel: "not-a-kernel"}), "WithJobSpec"},
 		{repro.WithJobSpec(repro.JobSpec{Procs: -1}), "jobspec.procs"},
 	}
