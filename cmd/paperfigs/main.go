@@ -146,48 +146,13 @@ func tracedSim(kernel, machName, algo string, procs, n, phases int, traceOut, me
 	}
 	fmt.Printf("%s on %s, %s, p=%d: %.0f cycles, %d sync ops, %d steals, %d events\n",
 		desc, m.Name, specs[0].Name, procs, res.Cycles, res.TotalSyncOps(), res.Steals, stream.Len())
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteChromeTrace(f, stream.Events(), telemetry.ChromeOptions{
-			Label: fmt.Sprintf("%s on %s, %s, p=%d (simulated)", desc, m.Name, specs[0].Name, procs),
-			Procs: procs,
-			// One simulated cycle renders as 1e6/CyclesPerSec µs, so
-			// the trace shows modelled real time.
-			TimeScale: 1e6 / m.CyclesPerSec,
-		})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote Chrome trace (%d events) to %s\n", stream.Len(), traceOut)
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteSeriesCSV(f, reg)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote metrics time series to %s\n", metricsOut)
-	}
-	if check {
-		rep := telemetry.Check(stream.Events())
-		if err := rep.Err(); err != nil {
-			return err
-		}
-		fmt.Printf("tracecheck: OK (%d events, %d steps)\n", rep.Events, rep.Steps)
-	}
-	return nil
+	return cli.ExportTelemetry(os.Stdout, stream.Events(), reg, telemetry.ChromeOptions{
+		Label: fmt.Sprintf("%s on %s, %s, p=%d (simulated)", desc, m.Name, specs[0].Name, procs),
+		Procs: procs,
+		// One simulated cycle renders as 1e6/CyclesPerSec µs, so the
+		// trace shows modelled real time.
+		TimeScale: 1e6 / m.CyclesPerSec,
+	}, traceOut, metricsOut, check)
 }
 
 func fatal(err error) {

@@ -3,7 +3,9 @@
 // and scheduling activity per algorithm — the live-hardware counterpart
 // of cmd/paperfigs' simulations. On a multicore host the speedup
 // columns show each scheduler's scaling; the sync-op columns always
-// reflect the real protocol behaviour.
+// reflect the real protocol behaviour. The kernels are the served
+// registry (internal/job, loopserved's /kernels), and each run executes
+// one instance as one phased loop.
 //
 //	realbench -kernel gauss -n 512 -workers 1,2,4,8
 //	realbench -kernel adjoint -n 64 -algos gss,factoring,afs
@@ -21,22 +23,22 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/kernels"
+	"repro/internal/job"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/webui"
-	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		kernelName = flag.String("kernel", "gauss", "kernel: sor, gauss, tc-skew, adjoint, adjoint-rev, l4, step")
+		kernelName = flag.String("kernel", "gauss", "kernel: "+strings.Join(job.Names(), ", "))
 		n          = flag.Int("n", 384, "problem size")
-		phases     = flag.Int("phases", 16, "sweeps (sor) / outer iterations (l4)")
+		phases     = flag.Int("phases", 16, "sweeps (sor, spin*) / outer iterations (l4)")
 		workers    = flag.String("workers", defaultWorkers(), "comma-separated worker counts")
 		algosFlag  = flag.String("algos", "static,ss,gss,factoring,trapezoid,afs,mod-factoring", "algorithms")
 		repeats    = flag.Int("repeats", 3, "runs per cell (median reported)")
@@ -70,7 +72,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	run, desc, err := realKernel(*kernelName, *n, *phases)
+	kspec, desc, err := kernelSpec(*kernelName, *n, *phases)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,7 +102,7 @@ func main() {
 			var times []time.Duration
 			var ops int64
 			for r := 0; r < *repeats; r++ {
-				st, err := run(w, spec.Name, nil)
+				st, err := runKernel(kspec, w, spec.Name)
 				if err != nil {
 					fatal(err)
 				}
@@ -124,185 +126,54 @@ func main() {
 	}
 
 	if *traceOut != "" || *metricsOut != "" || *check {
-		if err := instrumentedRun(run, counts, *traceAlgo, desc, *traceOut, *metricsOut, *check); err != nil {
+		if err := instrumentedRun(kspec, counts[len(counts)-1], *traceAlgo, desc, *traceOut, *metricsOut, *check); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// telemetryOpts carries the observability hooks into one run. Kernels
-// that issue one ParallelFor per sweep advance the step/time base
-// between calls so the combined stream reads as one phased execution.
-type telemetryOpts struct {
-	stream  *telemetry.SyncStream
-	reg     *telemetry.Registry
-	stepOff int
-	timeOff float64
-}
-
-// advance shifts the stream's base after one single-phase run.
-func (topt *telemetryOpts) advance(phases int, elapsed time.Duration) {
-	if topt == nil {
-		return
+// kernelSpec resolves name against the served kernel registry before
+// the sweep and builds one instance so the header can name the phase
+// count.
+func kernelSpec(name string, n, phases int) (job.Spec, string, error) {
+	k, err := job.Lookup(name)
+	if err != nil {
+		return job.Spec{}, "", fmt.Errorf("-kernel: %w", err)
 	}
-	topt.stepOff += phases
-	topt.timeOff += float64(elapsed)
+	spec := job.Spec{Kernel: name, Params: job.Params{N: n, Phases: phases}}
+	r, err := job.Build(spec)
+	if err != nil {
+		return job.Spec{}, "", err
+	}
+	return spec, fmt.Sprintf("%s: %s, n=%d, %d phases", name, k.Description, n, r.Phases), nil
 }
 
-// instrumentedRun executes one extra run at the largest worker count
-// with full telemetry, then exports and/or verifies the stream.
-func instrumentedRun(run runFunc, counts []int, algo, desc, traceOut, metricsOut string, check bool) error {
-	w := counts[len(counts)-1]
-	topt := &telemetryOpts{stream: telemetry.NewSyncStream(), reg: telemetry.NewRegistry()}
-	expvar.Publish("telemetry_events", expvar.Func(func() any { return topt.stream.Len() }))
-	if _, err := run(w, algo, topt); err != nil {
+// runKernel builds a fresh instance of the kernel and runs it as one
+// phased loop; the instance's N performs the serial step between
+// phases, as it does under loopserved.
+func runKernel(spec job.Spec, workers int, algo string, opts ...repro.Option) (repro.RunStats, error) {
+	r, err := job.Build(spec)
+	if err != nil {
+		return repro.RunStats{}, err
+	}
+	return repro.ForPhases(r.Phases, r.N, r.Body,
+		append(opts, repro.WithScheduler(algo), repro.WithProcs(workers))...)
+}
+
+// instrumentedRun executes one extra run (at the sweep's largest worker
+// count) with full telemetry, then exports and/or verifies the stream.
+func instrumentedRun(spec job.Spec, workers int, algo, desc, traceOut, metricsOut string, check bool) error {
+	stream := telemetry.NewSyncStream()
+	reg := telemetry.NewRegistry()
+	expvar.Publish("telemetry_events", expvar.Func(func() any { return stream.Len() }))
+	if _, err := runKernel(spec, workers, algo, repro.WithEvents(stream), repro.WithMetrics(reg)); err != nil {
 		return err
 	}
-	events := topt.stream.Events()
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteChromeTrace(f, events, telemetry.ChromeOptions{
-			Label:     fmt.Sprintf("%s, %s, %d workers (real runtime)", desc, algo, w),
-			Procs:     w,
-			TimeScale: 1e-3, // ns → µs
-		})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote Chrome trace (%d events) to %s\n", len(events), traceOut)
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteSeriesCSV(f, topt.reg)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics time series to %s\n", metricsOut)
-	}
-	if check {
-		rep := telemetry.Check(events)
-		if err := rep.Err(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "tracecheck: OK (%d events, %d phases, %s on %d workers)\n",
-			rep.Events, rep.Steps, algo, w)
-	}
-	return nil
-}
-
-type runFunc func(workers int, algo string, topt *telemetryOpts) (repro.RunStats, error)
-
-// telemetryOptions expands the optional hooks into repro options,
-// rebasing the sink onto the accumulated step/time offset.
-func telemetryOptions(topt *telemetryOpts) []repro.Option {
-	if topt == nil {
-		return nil
-	}
-	var sink telemetry.Sink = topt.stream
-	if topt.stepOff != 0 || topt.timeOff != 0 {
-		sink = &telemetry.Rebase{Sink: topt.stream, StepOffset: topt.stepOff, TimeOffset: topt.timeOff}
-	}
-	return []repro.Option{repro.WithEvents(sink), repro.WithMetrics(topt.reg)}
-}
-
-// realKernel returns a runner executing the kernel's real form under a
-// given worker count and scheduler name.
-func realKernel(name string, n, phases int) (runFunc, string, error) {
-	switch name {
-	case "sor":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			g := kernels.NewSORGrid(n)
-			var total repro.RunStats
-			for ph := 0; ph < phases; ph++ {
-				st, err := repro.ParallelFor(n, func(j int) { g.UpdateRow(j) },
-					append(telemetryOptions(topt),
-						repro.WithScheduler(algo), repro.WithProcs(w))...)
-				if err != nil {
-					return total, err
-				}
-				total = accumulate(total, st)
-				topt.advance(1, st.Elapsed)
-				g.Swap()
-			}
-			return total, nil
-		}, fmt.Sprintf("SOR %d×%d, %d sweeps", n, n, phases), nil
-	case "gauss":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			g := kernels.NewGaussMatrix(n)
-			return repro.ForPhases(n-1, g.PhaseIterations,
-				func(ph, i int) { g.EliminateRow(ph, i) },
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("Gaussian elimination %d×%d", n, n), nil
-	case "tc-skew":
-		g := workload.CliqueGraph(n, n/2)
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			tc := kernels.NewTCGraph(g)
-			var total repro.RunStats
-			for ph := 0; ph < g.N; ph++ {
-				tc.BeginPhase(ph)
-				st, err := repro.ParallelFor(g.N, func(j int) { tc.UpdateRow(ph, j) },
-					append(telemetryOptions(topt),
-						repro.WithScheduler(algo), repro.WithProcs(w))...)
-				if err != nil {
-					return total, err
-				}
-				total = accumulate(total, st)
-				topt.advance(1, st.Elapsed)
-			}
-			return total, nil
-		}, fmt.Sprintf("transitive closure, %d nodes with %d-clique", n, n/2), nil
-	case "adjoint":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			d := kernels.NewAdjointData(n, false)
-			return repro.ParallelFor(d.Iterations(), d.Body,
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("adjoint convolution N=%d (%d iterations)", n, n*n), nil
-	case "adjoint-rev":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			d := kernels.NewAdjointData(n, true)
-			return repro.ParallelFor(d.Iterations(), d.Body,
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("adjoint convolution (reversed) N=%d", n), nil
-	case "l4":
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			r := kernels.NewL4Real(phases, 1, 20)
-			var total repro.RunStats
-			for s := 0; s < r.Loops(); s++ {
-				st, err := repro.ParallelFor(r.LoopN(s), func(i int) { r.Body(s, i) },
-					append(telemetryOptions(topt),
-						repro.WithScheduler(algo), repro.WithProcs(w))...)
-				if err != nil {
-					return total, err
-				}
-				total = accumulate(total, st)
-				topt.advance(1, st.Elapsed)
-			}
-			return total, nil
-		}, fmt.Sprintf("L4, %d outer iterations", phases), nil
-	case "step":
-		cost := workload.Step(n, 0.1, 100, 1)
-		return func(w int, algo string, topt *telemetryOpts) (repro.RunStats, error) {
-			return repro.ParallelFor(n, func(i int) { kernels.Spin(int(cost(i)) * 20) },
-				append(telemetryOptions(topt),
-					repro.WithScheduler(algo), repro.WithProcs(w))...)
-		}, fmt.Sprintf("step workload N=%d", n), nil
-	}
-	return nil, "", fmt.Errorf("unknown kernel %q for the real runtime", name)
+	return cli.ExportTelemetry(os.Stderr, stream.Events(), reg, telemetry.ChromeOptions{
+		Label:     fmt.Sprintf("%s, %s, %d workers (real runtime)", desc, algo, workers),
+		Procs:     workers,
+		TimeScale: 1e-3, // ns → µs
+	}, traceOut, metricsOut, check)
 }
 
 // validateArgs rejects degenerate sweep parameters up front — with
@@ -314,21 +185,6 @@ func validateArgs(n, phases, repeats int) error {
 		cli.PositiveInt("-n", n),
 		cli.PositiveInt("-phases", phases),
 	)
-}
-
-// accumulate folds one run's stats into the total, value-in/value-out:
-// both sides are private snapshots, so the counter arithmetic stays
-// off the atomic fields' shared instances.
-func accumulate(total, st repro.RunStats) repro.RunStats {
-	total.Elapsed += st.Elapsed
-	total.CentralOps += st.CentralOps
-	total.Steals += st.Steals
-	total.MigratedIters += st.MigratedIters
-	total.Iterations += st.Iterations
-	for i := range st.LocalOps {
-		total.CentralOps += st.LocalOps[i] + st.RemoteOps[i]
-	}
-	return total
 }
 
 func median(d []time.Duration) time.Duration {

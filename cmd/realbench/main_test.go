@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/cli"
+	"repro/internal/job"
+	"repro/internal/telemetry"
 )
 
 func TestValidateArgs(t *testing.T) {
@@ -52,7 +55,52 @@ func TestSweepFlagRejection(t *testing.T) {
 }
 
 func TestRealKernelUnknown(t *testing.T) {
-	if _, _, err := realKernel("nope", 8, 2); err == nil {
-		t.Error("unknown kernel accepted")
+	_, _, err := kernelSpec("nope", 8, 2)
+	if err == nil {
+		t.Fatal("unknown kernel accepted")
+	}
+	if !strings.Contains(err.Error(), "-kernel") {
+		t.Errorf("error %q does not name the -kernel flag", err)
+	}
+	for _, name := range job.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name known kernel %q", err, name)
+		}
+	}
+}
+
+// Every registry kernel runs as one phased loop: its event stream
+// passes tracecheck, and the metrics series holds one sample per
+// phase, numbered 0..Phases-1 (per-sweep runs would restart at 0).
+func TestRealKernelsOnePhasedLoop(t *testing.T) {
+	for _, name := range job.Names() {
+		t.Run(name, func(t *testing.T) {
+			spec := job.Spec{Kernel: name, Params: job.Params{N: 24, Phases: 2, Work: 1}}
+			inst, err := job.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := telemetry.NewSyncStream()
+			reg := telemetry.NewRegistry()
+			st, err := runKernel(spec, 2, "afs", repro.WithEvents(stream), repro.WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Phases != inst.Phases {
+				t.Errorf("ran %d phases, want %d", st.Phases, inst.Phases)
+			}
+			if err := telemetry.Check(stream.Events()).Err(); err != nil {
+				t.Errorf("tracecheck: %v", err)
+			}
+			series := reg.Series()
+			if len(series) != inst.Phases {
+				t.Fatalf("%d metrics samples, want one per phase (%d)", len(series), inst.Phases)
+			}
+			for i, s := range series {
+				if s.Step != i {
+					t.Errorf("sample %d labelled step %d", i, s.Step)
+				}
+			}
+		})
 	}
 }

@@ -132,20 +132,33 @@ func TestRunnerDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// Real cases run the served registry's kernels as one phased loop, so
+// every iteration of every phase is counted once.
 func TestRunnerRealCase(t *testing.T) {
-	r := NewRegistry()
-	c := r.Add(Case{Substrate: SubstrateReal, Kernel: "sor", Algo: "afs",
-		N: 32, Phases: 2, Procs: 2, Repeats: 2, Warmup: 1})
-	res, err := (&Runner{}).Run([]Case{c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res[0].Samples) != 2 {
-		t.Fatalf("got %d samples", len(res[0].Samples))
-	}
-	for _, s := range res[0].Samples {
-		if s <= 0 {
-			t.Errorf("non-positive wall time %v", s)
+	for _, k := range []struct {
+		kernel     string
+		iterations float64
+	}{
+		{"sor", 32 * 2},      // N rows per sweep, Phases sweeps
+		{"tc-skew", 32 * 32}, // N rows per phase, N phases
+	} {
+		r := NewRegistry()
+		c := r.Add(Case{Substrate: SubstrateReal, Kernel: k.kernel, Algo: "afs",
+			N: 32, Phases: 2, Procs: 2, Repeats: 2, Warmup: 1})
+		res, err := (&Runner{}).Run([]Case{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res[0].Samples) != 2 {
+			t.Fatalf("%s: got %d samples", k.kernel, len(res[0].Samples))
+		}
+		for _, s := range res[0].Samples {
+			if s <= 0 {
+				t.Errorf("%s: non-positive wall time %v", k.kernel, s)
+			}
+		}
+		if got := res[0].Counters["iterations"]; got != k.iterations {
+			t.Errorf("%s: iterations = %v, want %v", k.kernel, got, k.iterations)
 		}
 	}
 }
@@ -156,7 +169,7 @@ func TestRunnerErrors(t *testing.T) {
 		{ID: "x", Substrate: SubstrateSim, Machine: "iris", Kernel: "nope", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
 		{ID: "x", Substrate: SubstrateSim, Machine: "iris", Kernel: "sor", Algo: "nope", N: 8, Phases: 1, Procs: 2, Repeats: 1},
 		{ID: "x", Substrate: SubstrateSim, Machine: "mars", Kernel: "sor", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
-		{ID: "x", Substrate: SubstrateReal, Kernel: "tc-skew", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
+		{ID: "x", Substrate: SubstrateReal, Kernel: "nope", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 1},
 		{ID: "x", Substrate: SubstrateSim, Machine: "iris", Kernel: "sor", Algo: "afs", N: 8, Phases: 1, Procs: 2, Repeats: 0},
 	}
 	for _, c := range bad {

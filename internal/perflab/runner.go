@@ -11,7 +11,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/forensics"
-	"repro/internal/kernels"
+	"repro/internal/job"
 	"repro/internal/livemetrics"
 	"repro/internal/machine"
 	"repro/internal/pool"
@@ -261,50 +261,30 @@ func forensicsSummary(c Case, recs []telemetry.Prov) *forensics.Summary {
 }
 
 // realKernel builds a closure running one full execution of the case's
-// kernel on the real goroutine runtime, mirroring cmd/realbench's
-// kernel set (the subset that is fast enough for a standing suite).
+// kernel on the real goroutine runtime: a fresh instance of the served
+// registry's kernel (internal/job) run as one phased loop, or one of
+// the executor and serving duels (manySmallLoops, serveSteady).
 func realKernel(c Case) (func(obs telemetry.Observer) (core.Stats, error), error) {
-	if c.Kernel == "many-small-loops" || c.Kernel == "steady-loops" {
+	switch c.Kernel {
+	case "many-small-loops", "steady-loops":
 		return manySmallLoops(c)
-	}
-	if c.Kernel == "serve-steady" {
+	case "serve-steady":
 		return serveSteady(c)
 	}
-	opts := func(obs telemetry.Observer) core.Config {
-		spec, _ := sched.ByName(c.Algo)
-		return core.Config{Procs: c.Procs, Spec: spec, Observer: obs}
-	}
-	if _, err := sched.ByName(c.Algo); err != nil {
+	spec, err := sched.ByName(c.Algo)
+	if err != nil {
 		return nil, err
 	}
-	switch c.Kernel {
-	case "gauss":
-		return func(obs telemetry.Observer) (core.Stats, error) {
-			g := kernels.NewGaussMatrix(c.N)
-			return core.Run(opts(obs), c.N-1, g.PhaseIterations,
-				func(ph, i int) { g.EliminateRow(ph, i) })
-		}, nil
-	case "sor":
-		return func(obs telemetry.Observer) (core.Stats, error) {
-			g := kernels.NewSORGrid(c.N)
-			var total core.Stats
-			for ph := 0; ph < c.Phases; ph++ {
-				st, err := core.ParallelFor(opts(obs), c.N, g.UpdateRow)
-				if err != nil {
-					return total, err
-				}
-				total = addStats(total, st)
-				g.Swap()
-			}
-			return total, nil
-		}, nil
-	case "adjoint":
-		return func(obs telemetry.Observer) (core.Stats, error) {
-			d := kernels.NewAdjointData(c.N, false)
-			return core.ParallelFor(opts(obs), d.Iterations(), d.Body)
-		}, nil
+	if _, err := job.Lookup(c.Kernel); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown real-substrate kernel %q (gauss, sor, adjoint, many-small-loops, steady-loops)", c.Kernel)
+	return func(obs telemetry.Observer) (core.Stats, error) {
+		r, err := job.Build(job.Spec{Kernel: c.Kernel, Params: job.Params{N: c.N, Phases: c.Phases}})
+		if err != nil {
+			return core.Stats{}, err
+		}
+		return core.Run(core.Config{Procs: c.Procs, Spec: spec, Observer: obs}, r.Phases, r.N, r.Body)
+	}, nil
 }
 
 // addStats folds one loop's stats into a multi-loop total,

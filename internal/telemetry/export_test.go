@@ -72,7 +72,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 
 func TestWriteSeriesJSONL(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("x").Set(1.5)
+	r.Counter("x").Add(3)
 	r.Snapshot(7)
 	var b strings.Builder
 	if err := WriteSeriesJSONL(&b, r); err != nil {
@@ -85,7 +85,7 @@ func TestWriteSeriesJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(strings.TrimSpace(b.String())), &obj); err != nil {
 		t.Fatal(err)
 	}
-	if obj.Step != 7 || obj.Values["x"] != 1.5 {
+	if obj.Step != 7 || obj.Values["x"] != 3 {
 		t.Errorf("sample = %+v", obj)
 	}
 }

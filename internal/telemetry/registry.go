@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,21 +25,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// A Gauge is a named instantaneous value that may go up or down.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores the current value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // A Histogram is a fixed-bucket distribution of observed values
 // (queue-wait cycles, chunk sizes, steal latencies). Buckets are
@@ -105,9 +89,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // StepSample is one per-step snapshot of every registered metric:
-// cumulative counter totals, gauge values, and histogram count/sum
-// pairs, keyed by metric name (histograms contribute "<name>_count"
-// and "<name>_sum").
+// cumulative counter totals and histogram count/sum pairs, keyed by
+// metric name (histograms contribute "<name>_count" and "<name>_sum").
 type StepSample struct {
 	Step   int
 	Values map[string]float64
@@ -115,13 +98,12 @@ type StepSample struct {
 
 // Registry holds named metrics and their per-step time series. Metric
 // creation is locked; updates on the returned handles are lock-free
-// (counters, gauges) or finely locked (histogram sums), so hot paths
-// touch no registry-wide lock.
+// (counters) or finely locked (histogram sums), so hot paths touch no
+// registry-wide lock.
 type Registry struct {
 	mu     sync.Mutex
 	order  []string
 	counts map[string]*Counter
-	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 	series []StepSample
 }
@@ -130,7 +112,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
 	}
 }
@@ -147,20 +128,6 @@ func (r *Registry) Counter(name string) *Counter {
 	r.counts[name] = c
 	r.order = append(r.order, name)
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -194,9 +161,6 @@ func (r *Registry) Snapshot(step int) {
 	vals := make(map[string]float64, len(r.order)+len(r.hists))
 	for name, c := range r.counts {
 		vals[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		vals[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		vals[name+"_count"] = float64(h.Count())

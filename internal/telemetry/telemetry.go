@@ -11,7 +11,7 @@
 //     is off. Readers derive their views from it: EventsOf lowers
 //     records onto an event Sink, ProvOf onto a provenance sink,
 //     MetricsOf onto a metrics Registry;
-//   - a metrics Registry of named counters, gauges and fixed-bucket
+//   - a metrics Registry of named counters and fixed-bucket
 //     histograms with per-step time-series snapshots (registry.go);
 //   - exporters: JSONL and CSV event dumps (export.go), the Chrome
 //     trace-event format loadable in chrome://tracing or Perfetto
@@ -138,22 +138,4 @@ func (s *SyncStream) Reset() {
 	s.mu.Lock()
 	s.s.Reset()
 	s.mu.Unlock()
-}
-
-// Rebase shifts every event's step and time base before forwarding —
-// the glue for composing several independent runs (each numbering its
-// phases from 0 and its clock from its own start) into one coherent
-// stream, e.g. an SOR kernel issuing one ParallelFor per sweep.
-type Rebase struct {
-	Sink       Sink
-	StepOffset int
-	TimeOffset float64
-}
-
-// Emit forwards the event with step and timestamps shifted.
-func (r *Rebase) Emit(e Event) {
-	e.Step += r.StepOffset
-	e.Start += r.TimeOffset
-	e.End += r.TimeOffset
-	r.Sink.Emit(e)
 }

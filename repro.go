@@ -752,8 +752,8 @@ type ProvenanceStream = telemetry.SyncProvStream
 // stream.
 func NewProvenanceStream() *ProvenanceStream { return telemetry.NewSyncProvStream() }
 
-// MetricsRegistry holds named counters, gauges and histograms with
-// per-step time-series snapshots.
+// MetricsRegistry holds named counters and histograms with per-step
+// time-series snapshots.
 type MetricsRegistry = telemetry.Registry
 
 // NewMetricsRegistry creates an empty metrics registry.
